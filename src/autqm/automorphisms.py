@@ -30,10 +30,7 @@ class AutoWitness:
 
     def build(self, rank: int) -> "Automorphism":
         if self.kind == "composite":
-            result = identity_automorphism(rank)
-            for child in self.params:
-                result = compose(result, child.build(rank))
-            return result
+            return compose_all((child.build(rank) for child in self.params), rank)
         if self.kind == "conjugation-by-word":
             return ad(Word(rank, self.params))
         return elementary(self.kind, self.params, rank)
@@ -120,9 +117,6 @@ class Automorphism:
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
-
-    def key(self) -> tuple:
-        return tuple(w.key() for w in self.images)
 
     def to_obj(self):
         return {

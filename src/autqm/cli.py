@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from . import graphprod as gp
 from .automorphisms import (
@@ -25,6 +26,7 @@ from .automorphisms import (
     compose_all,
     elementary,
     identity_automorphism,
+    signed_permutations,
 )
 from .norms import (
     acl_upper,
@@ -53,7 +55,6 @@ from .whitehead import (
     minimize,
     whitehead_graph,
 )
-from .automorphisms import signed_permutations
 from .words import Word, cyclic_reduce, is_conjugate, multiply, power, reduce
 
 
@@ -91,6 +92,21 @@ def format_rational(x) -> str:
     return str(Fraction(x))
 
 
+def _read_input(path: str) -> str:
+    """Contents of the named file, or of standard input for "-"."""
+    return sys.stdin.read() if path == "-" else Path(path).read_text()
+
+
+def parse_word_pair(left: str, right: str, rank: int | None) -> tuple[Word, Word]:
+    """Two words in one free group: the larger of their inferred ranks."""
+    u, v = parse_word(left, rank), parse_word(right, rank)
+    rank = max(u.rank, v.rank)
+    return Word(rank, u.letters), Word(rank, v.letters)
+
+
+_CHAIN_ARITY = {"swap": 2, "inv": 1, "lt": 2, "rt": 2, "ad": 1}
+
+
 def parse_auto_chain(text: str, rank: int) -> Automorphism:
     """Chain of named automorphisms, applied in the listed order."""
     parts = [p.strip() for p in text.split(";") if p.strip()]
@@ -103,8 +119,14 @@ def parse_auto_chain(text: str, rank: int) -> Automorphism:
             raise InputError(f"bad automorphism token {part!r}")
         name, raw_args = part[:-1].split("(", 1)
         args = [a.strip() for a in raw_args.split(",")] if raw_args else []
+        if name in _CHAIN_ARITY and len(args) != _CHAIN_ARITY[name]:
+            raise InputError(
+                f"{name} takes {_CHAIN_ARITY[name]} argument(s), got {len(args)}"
+            )
         if name == "swap":
             i, j = (int(a) for a in args)
+            if not (1 <= i <= rank and 1 <= j <= rank):
+                raise InputError(f"swap indices out of range for rank {rank}")
             images = list(range(1, rank + 1))
             images[i - 1], images[j - 1] = j, i
             autos.append(elementary("permutation", tuple(images), rank))
@@ -145,7 +167,7 @@ def auto_record(phi: Automorphism) -> dict:
 
 
 def parse_graph(path: str) -> gp.VertexGraph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
+    text = _read_input(path)
     labels: dict[int, int] = {}
     edges = []
     count = None
@@ -199,11 +221,15 @@ def emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
 
 
-def build_cli_qm(args, rank=2):
-    f = brooks_homogeneous(parse_word(args.pattern, rank)) if args.homog else brooks(
-        parse_word(args.pattern, rank)
-    )
-    return f
+def _counting_qm(pattern: Word, homog: bool):
+    """The counting quasimorphism of the pattern, homogenised if asked."""
+    return brooks_homogeneous(pattern) if homog else brooks(pattern)
+
+
+def _averaged_qm(args, rank: int):
+    """The homogenised --pattern counting quasimorphism averaged over --group."""
+    pattern = parse_word(args.pattern, rank)
+    return finite_average(brooks_homogeneous(pattern), parse_group(args.group, rank))
 
 
 def _norm_record(result) -> dict:
@@ -236,9 +262,7 @@ def cmd_word(args) -> int:
         w = parse_word(args.word, rank)
         emit({"op": "word.reduce", "input": args.word, "value": format_word(w)})
     elif args.word_op == "mul":
-        u, v = parse_word(args.left, rank), parse_word(args.right, rank)
-        rank = max(u.rank, v.rank)
-        u, v = parse_word(args.left, rank), parse_word(args.right, rank)
+        u, v = parse_word_pair(args.left, args.right, rank)
         emit({"op": "word.mul", "value": format_word(multiply(u, v))})
     elif args.word_op == "inv":
         from .words import invert
@@ -261,9 +285,7 @@ def cmd_word(args) -> int:
             }
         )
     elif args.word_op == "conj":
-        u, v = parse_word(args.left, rank), parse_word(args.right, rank)
-        rank = max(u.rank, v.rank)
-        u, v = parse_word(args.left, rank), parse_word(args.right, rank)
+        u, v = parse_word_pair(args.left, args.right, rank)
         emit({"op": "word.conj", "value": is_conjugate(u, v)})
     return 0
 
@@ -328,19 +350,15 @@ def cmd_wh(args) -> int:
 
 
 def cmd_qm(args) -> int:
-    if args.qm_op == "brooks":
-        f = brooks(parse_word(args.pattern))
-        emit({"op": "qm.brooks", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
-    elif args.qm_op == "homog":
-        f = brooks_homogeneous(parse_word(args.pattern))
-        emit({"op": "qm.homog", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
+    if args.qm_op in ("brooks", "homog"):
+        f = _counting_qm(parse_word(args.pattern), args.qm_op == "homog")
+        emit({"op": f"qm.{args.qm_op}", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
     elif args.qm_op == "defect":
         pattern = parse_word(args.pattern)
         if args.exact:
             cert = brooks_defect_exact(pattern)
         else:
-            f = brooks_homogeneous(pattern) if args.homog else brooks(pattern)
-            cert = defect_enumerate(f, args.max_len)
+            cert = defect_enumerate(_counting_qm(pattern, args.homog), args.max_len)
         record = {
             "op": "qm.defect",
             "bound_type": cert.bound_type,
@@ -352,20 +370,20 @@ def cmd_qm(args) -> int:
         emit(record)
     elif args.qm_op == "average":
         pattern = parse_word(args.pattern)
-        base = brooks_homogeneous(pattern) if args.homog else brooks(pattern)
-        f = finite_average(base, parse_group(args.group, pattern.rank))
+        f = finite_average(
+            _counting_qm(pattern, args.homog), parse_group(args.group, pattern.rank)
+        )
         emit({"op": "qm.average", "value": format_rational(f(parse_word(args.on, pattern.rank)))})
     elif args.qm_op == "product-average":
         pattern = parse_word(args.pattern)
-        base = brooks_homogeneous(pattern) if args.homog else brooks(pattern)
-        f = product_average(base, args.k, args.n)
+        f = product_average(_counting_qm(pattern, args.homog), args.k, args.n)
         words = [parse_word(t, pattern.rank) for t in args.on.split(",")]
         if len(words) != args.n:
             raise InputError(f"expected {args.n} comma-separated words")
         emit({"op": "qm.product-average", "value": format_rational(f(tuple(words)))})
     elif args.qm_op == "invariance":
         pattern = parse_word(args.pattern)
-        f = brooks_homogeneous(pattern) if args.homog else brooks(pattern)
+        f = _counting_qm(pattern, args.homog)
         phi = parse_auto_chain(args.auto, pattern.rank)
         samples = [parse_word(t, pattern.rank) for t in args.samples.split(",")]
         report = check_invariance(f, [phi], samples)
@@ -384,8 +402,7 @@ def cmd_qm(args) -> int:
             }
         )
     elif args.qm_op == "eval":
-        text = sys.stdin.read() if args.spec == "-" else open(args.spec).read()
-        f = build_quasimorphism(_as_tuples(json.loads(text)))
+        f = build_quasimorphism(_as_tuples(json.loads(_read_input(args.spec))))
         emit({"op": "qm.eval", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
     return 0
 
@@ -426,10 +443,7 @@ def cmd_norm(args) -> int:
             }
         )
     elif args.norm_op == "bound":
-        pattern = parse_word(args.pattern, w.rank)
-        f = finite_average(
-            brooks_homogeneous(pattern), parse_group(args.group, w.rank)
-        )
+        f = _averaged_qm(args, w.rank)
         gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
         emit(
             {
@@ -438,11 +452,7 @@ def cmd_norm(args) -> int:
             }
         )
     elif args.norm_op == "bavard":
-        pattern = parse_word(args.pattern, w.rank)
-        f = finite_average(
-            brooks_homogeneous(pattern), parse_group(args.group, w.rank)
-        )
-        bound = duality_lower_bound(f, w)
+        bound = duality_lower_bound(_averaged_qm(args, w.rank), w)
         emit(
             {
                 "op": "norm.bavard",
@@ -586,18 +596,18 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--on", required=True)
     p.add_argument("--group", default="signed")
-    p.add_argument("--homog", action="store_true", default=True)
+    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
     p = qm_sub.add_parser("product-average")
     p.add_argument("--pattern", required=True)
     p.add_argument("--on", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    p.add_argument("--homog", action="store_true", default=True)
+    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
     p = qm_sub.add_parser("invariance")
     p.add_argument("--pattern", required=True)
     p.add_argument("--auto", required=True)
     p.add_argument("--samples", required=True)
-    p.add_argument("--homog", action="store_true", default=True)
+    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
     p = qm_sub.add_parser("eval")
     p.add_argument("--spec", required=True, help="provenance JSON file or -")
     p.add_argument("--on", required=True)
@@ -671,13 +681,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 2
     except CutoffExceeded as exc:
         print(json.dumps({"error": str(exc), "cutoff": True}), file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

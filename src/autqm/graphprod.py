@@ -77,35 +77,24 @@ def _normalize_exponent(label: int, e: int) -> int:
 
 def _merge(graph: VertexGraph, sylls: list[tuple[int, int]]) -> list[tuple[int, int]]:
     # Fully merge same-vertex syllables reachable through commuting
-    # separators.  A merge to exponent zero deletes the syllable and
-    # restarts, since its former neighbours may now interact.
-    while True:
-        out: list[tuple[int, int]] = []
-        restart = False
-        for idx, (v, e) in enumerate(sylls):
-            i = len(out) - 1
-            placed = False
-            while i >= 0:
-                u, f = out[i]
-                if u == v:
-                    merged = _normalize_exponent(graph.label(v), f + e)
-                    if merged == 0:
-                        del out[i]
-                        sylls = [*out, *sylls[idx + 1 :]]
-                        restart = True
-                    else:
-                        out[i] = (v, merged)
-                    placed = True
-                    break
-                if not graph.adjacent(u, v):
-                    break
-                i -= 1
-            if restart:
-                break
-            if not placed:
-                out.append((v, e))
-        if not restart:
-            return out
+    # separators.  One left-to-right pass suffices: the output is fully
+    # merged after every step, and a syllable that cancels commutes with
+    # everything after it, so deleting it never lets two others merge.
+    out: list[tuple[int, int]] = []
+    for v, e in sylls:
+        # Walk left past commuting syllables; no vertex is adjacent to itself.
+        i = len(out) - 1
+        while i >= 0 and graph.adjacent(out[i][0], v):
+            i -= 1
+        if i >= 0 and out[i][0] == v:
+            merged = _normalize_exponent(graph.label(v), out[i][1] + e)
+            if merged:
+                out[i] = (v, merged)
+            else:
+                del out[i]
+        else:
+            out.append((v, e))
+    return out
 
 
 def _canonical_order(

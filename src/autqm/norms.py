@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .automorphisms import (
     Automorphism,
@@ -34,8 +34,11 @@ from .words import (
     multiply,
     power,
     primitive_root,
-    word_key,
 )
+
+# Leading factors of products of three or more are drawn from this many
+# shortest pool values.
+_SUBPOOL_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def orbit_closure(
     if not is_finite_group(autos):
         raise ValueError("orbit closure needs a finite group of automorphisms")
     out = {apply(a, s) for a in autos for s in words}
-    return tuple(sorted(out, key=lambda u: word_key(u.letters)))
+    return tuple(sorted(out, key=Word.key))
 
 
 def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
@@ -82,7 +85,7 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     from g (peeling generators off the right), meeting in the middle.
     Ties between witnesses of minimal length break lexicographically.
     """
-    gens = sorted({s for s in gens if s}, key=lambda u: word_key(u.letters))
+    gens = sorted({s for s in gens if s}, key=Word.key)
     if not g:
         return NormResult("exact", 0, cutoff, ())
     if not gens:
@@ -92,40 +95,10 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
         if s.rank != rank:
             raise ValueError("generating set and target must share a rank")
 
-    fwd_radius = (cutoff + 1) // 2
-    bwd_radius = cutoff // 2
-    df = {identity(rank): 0}
-    db = {g: 0}
-    fparent: dict[Word, tuple[Word, Word]] = {}
-    bparent: dict[Word, tuple[Word, Word]] = {}
-    frontier_f = [identity(rank)]
-    frontier_b = [g]
-    exhausted = False
-    for _ in range(fwd_radius):
-        nxt = []
-        for w in sorted(frontier_f, key=lambda u: word_key(u.letters)):
-            for s in gens:
-                t = multiply(w, s)
-                if t not in df:
-                    df[t] = df[w] + 1
-                    fparent[t] = (w, s)
-                    nxt.append(t)
-        frontier_f = nxt
-        if not frontier_f:
-            exhausted = True
-            break
-    for _ in range(bwd_radius):
-        nxt = []
-        for w in sorted(frontier_b, key=lambda u: word_key(u.letters)):
-            for s in gens:
-                t = multiply(w, invert(s))
-                if t not in db:
-                    db[t] = db[w] + 1
-                    bparent[t] = (w, s)
-                    nxt.append(t)
-        frontier_b = nxt
-        if not frontier_b:
-            break
+    df, fparent, exhausted = _ball(identity(rank), gens, (cutoff + 1) // 2, multiply)
+    db, bparent, _ = _ball(
+        g, gens, cutoff // 2, lambda w, s: multiply(w, invert(s))
+    )
 
     meets = df.keys() & db.keys()
     if not meets:
@@ -137,28 +110,54 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
         return NormResult("cutoff", None, cutoff, None)
 
     def witness_of(meet: Word) -> tuple[Factor, ...]:
-        left = []
-        w = meet
-        while df[w]:
-            w, s = fparent[w]
-            left.append(s)
+        left = _path(df, fparent, meet)
         left.reverse()
-        right = []
-        w = meet
-        while db[w]:
-            w, s = bparent[w]
-            right.append(s)
-        return tuple(Factor(s) for s in left + right)
+        return tuple(Factor(s) for s in left + _path(db, bparent, meet))
 
     candidates = sorted(
         (w for w in meets if df[w] + db[w] == best),
-        key=lambda u: word_key(u.letters),
+        key=Word.key,
     )
     witness = min(
         (witness_of(w) for w in candidates),
-        key=lambda ws: tuple(word_key(f.value.letters) for f in ws),
+        key=lambda ws: tuple(f.value.key() for f in ws),
     )
     return NormResult("exact", best, cutoff, witness)
+
+
+def _ball(
+    root: Word, gens: Sequence[Word], radius: int, step: Callable[[Word, Word], Word]
+) -> tuple[dict[Word, int], dict[Word, tuple[Word, Word]], bool]:
+    """Breadth-first ball around root under step(w, s) for s in gens.
+
+    Returns depths, parent links (w, s) and whether the ball ran out of
+    new elements before the radius.
+    """
+    depth = {root: 0}
+    parent: dict[Word, tuple[Word, Word]] = {}
+    frontier = [root]
+    for _ in range(radius):
+        nxt = []
+        for w in sorted(frontier, key=Word.key):
+            for s in gens:
+                t = step(w, s)
+                if t not in depth:
+                    depth[t] = depth[w] + 1
+                    parent[t] = (w, s)
+                    nxt.append(t)
+        frontier = nxt
+        if not frontier:
+            return depth, parent, True
+    return depth, parent, False
+
+
+def _path(depth: dict, parent: dict, w: Word) -> list[Word]:
+    """Generators along the parent links from w back to the ball's root."""
+    steps = []
+    while depth[w]:
+        w, s = parent[w]
+        steps.append(s)
+    return steps
 
 
 def _root_powers(g: Word) -> list[Word]:
@@ -204,11 +203,7 @@ def _autocommutator_pool(
 
 
 def _product_search(
-    pool: dict[Word, tuple],
-    g: Word,
-    k_max: int,
-    kind: str,
-    subpool_size: int = 256,
+    pool: dict[Word, tuple], g: Word, k_max: int, kind: str
 ) -> NormResult:
     """Least k <= k_max with g a product of k pool values.
 
@@ -218,24 +213,13 @@ def _product_search(
     """
     if not g:
         return NormResult("exact", 0, k_max, ())
-    order = sorted(pool, key=lambda u: word_key(u.letters))
-
-    def factor(word: Word) -> Factor:
-        return Factor(word, (kind, *pool[word]))
-
-    if k_max >= 1 and g in pool:
-        return NormResult("exact", 1, k_max, (factor(g),))
-    if k_max >= 2:
-        for t in order:
-            rest = multiply(invert(t), g)
-            if rest in pool:
-                return NormResult("exact", 2, k_max, (factor(t), factor(rest)))
-    sub = order[:subpool_size]
-    for k in range(3, k_max + 1):
-        found = _peel(pool, sub, g, k)
+    order = sorted(pool, key=Word.key)
+    sub = order[:_SUBPOOL_SIZE]
+    for k in range(1, k_max + 1):
+        found = _peel(pool, order if k <= 2 else sub, g, k)
         if found is not None:
             return NormResult(
-                "exact", k, k_max, tuple(factor(t) for t in found)
+                "exact", k, k_max, tuple(Factor(t, (kind, *pool[t])) for t in found)
             )
     return NormResult("cutoff", None, k_max, None)
 
@@ -280,7 +264,7 @@ def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
     if not g:
         return NormResult("exact", 0, k_max, ())
     pool: dict[Word, tuple] = {}
-    shorts = [u for u in enumerate_reduced_words(g.rank, len_cap)]
+    shorts = list(enumerate_reduced_words(g.rank, len_cap))
     for u in shorts:
         for v in shorts:
             value = multiply(multiply(u, v), multiply(invert(u), invert(v)))

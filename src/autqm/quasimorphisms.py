@@ -18,6 +18,7 @@ from .words import (
     Word,
     cyclic_reduce,
     enumerate_reduced,
+    enumerate_reduced_words,
     invert,
     multiply,
     power,
@@ -28,10 +29,6 @@ from .words import (
 # length l.  Deliberately loose; the release gate checks that the exact
 # defect of every short pattern stays below it.
 DEFAULT_BOUND_FACTOR = 6
-
-
-def default_brooks_bound(pattern_length: int) -> Fraction:
-    return Fraction(DEFAULT_BOUND_FACTOR * pattern_length)
 
 
 @dataclass(frozen=True)
@@ -50,11 +47,10 @@ class FreeGroupDomain:
         return invert(g)
 
     def elements(self, max_len: int):
-        for letters in enumerate_reduced(self.rank, max_len):
-            yield Word(self.rank, letters)
+        return enumerate_reduced_words(self.rank, max_len)
 
     def sort_key(self, g):
-        return word_key(g.letters)
+        return g.key()
 
     def describe(self):
         return ("free", self.rank)
@@ -77,14 +73,11 @@ class ProductDomain:
         return tuple(invert(a) for a in g)
 
     def elements(self, max_len: int):
-        factor = [
-            Word(self.factor_rank, letters)
-            for letters in enumerate_reduced(self.factor_rank, max_len)
-        ]
-        yield from itertools.product(factor, repeat=self.size)
+        factor = list(enumerate_reduced_words(self.factor_rank, max_len))
+        return itertools.product(factor, repeat=self.size)
 
     def sort_key(self, g):
-        return tuple(word_key(a.letters) for a in g)
+        return tuple(a.key() for a in g)
 
     def describe(self):
         return ("product", self.factor_rank, self.size)
@@ -117,9 +110,9 @@ class Quasimorphism:
 
 @dataclass(frozen=True)
 class DefectCertificate:
-    """Either an attained lower bound for the defect, or a declared upper."""
+    """The defect exactly, an attained lower bound for it, or a declared upper."""
 
-    bound_type: str  # "enumerated-lower" | "declared-upper"
+    bound_type: str  # "exact" | "enumerated-lower" | "declared-upper"
     value: Fraction
     witness: Optional[tuple] = None
     enumeration_range: Optional[int] = None
@@ -143,16 +136,20 @@ def _count(haystack: tuple, needle: tuple) -> int:
     )
 
 
-def brooks(w: Word, bound_factor: int = DEFAULT_BOUND_FACTOR) -> Quasimorphism:
+def _pattern_pair(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters of a counting pattern and of its inverse."""
+    if not w:
+        raise ValueError("the counting pattern must be nonempty")
+    return w.letters, invert(w).letters
+
+
+def brooks(w: Word) -> Quasimorphism:
     """Counting quasimorphism of a pattern word.
 
     Counts occurrences of the pattern as a subword of the reduced input
     (overlaps allowed) minus occurrences of the inverse pattern.
     """
-    if not w:
-        raise ValueError("the counting pattern must be nonempty")
-    pattern = w.letters
-    anti = invert(w).letters
+    pattern, anti = _pattern_pair(w)
 
     def evaluate(g: Word) -> int:
         return _count(g.letters, pattern) - _count(g.letters, anti)
@@ -160,7 +157,7 @@ def brooks(w: Word, bound_factor: int = DEFAULT_BOUND_FACTOR) -> Quasimorphism:
     return Quasimorphism(
         domain=FreeGroupDomain(w.rank),
         evaluate=evaluate,
-        defect_bound=Fraction(bound_factor * len(w)),
+        defect_bound=Fraction(DEFAULT_BOUND_FACTOR * len(w)),
         homogeneous=False,
         provenance=("brooks", w.rank, w.letters),
     )
@@ -178,7 +175,7 @@ def _periodic_count(core: tuple, pattern: tuple) -> int:
     )
 
 
-def brooks_homogeneous(w: Word, bound_factor: int = DEFAULT_BOUND_FACTOR) -> Quasimorphism:
+def brooks_homogeneous(w: Word) -> Quasimorphism:
     """Homogenisation of the counting quasimorphism, evaluated exactly.
 
     On an element with cyclically reduced core c, the value is the number
@@ -187,10 +184,7 @@ def brooks_homogeneous(w: Word, bound_factor: int = DEFAULT_BOUND_FACTOR) -> Qua
     homogeneous by construction; the declared defect bound is twice the
     bound of the inhomogeneous counting function.
     """
-    if not w:
-        raise ValueError("the counting pattern must be nonempty")
-    pattern = w.letters
-    anti = invert(w).letters
+    pattern, anti = _pattern_pair(w)
 
     def evaluate(g: Word) -> int:
         core = cyclic_reduce(g)[0].letters
@@ -199,7 +193,7 @@ def brooks_homogeneous(w: Word, bound_factor: int = DEFAULT_BOUND_FACTOR) -> Qua
     return Quasimorphism(
         domain=FreeGroupDomain(w.rank),
         evaluate=evaluate,
-        defect_bound=Fraction(2 * bound_factor * len(w)),
+        defect_bound=Fraction(2 * DEFAULT_BOUND_FACTOR * len(w)),
         homogeneous=True,
         provenance=("homogenised", ("brooks", w.rank, w.letters)),
     )
@@ -261,12 +255,9 @@ def brooks_defect_exact(w: Word) -> DefectCertificate:
     and c up to len(w) therefore attains the global supremum, realised on
     a pair of words no longer than 2*len(w) - 1.
     """
-    if not w:
-        raise ValueError("the counting pattern must be nonempty")
+    pattern, anti = _pattern_pair(w)
     rank = w.rank
     ell = len(w)
-    pattern = w.letters
-    anti = invert(w).letters
     shorts = list(enumerate_reduced(rank, ell - 1))
     longs = list(enumerate_reduced(rank, ell))
     cache: dict[tuple, int] = {}
@@ -311,7 +302,7 @@ def brooks_defect_exact(w: Word) -> DefectCertificate:
                     witness = (g, h)
                     witness_key = key
     return DefectCertificate(
-        "enumerated-lower",
+        "exact",
         Fraction(best),
         (Word(rank, witness[0]), Word(rank, witness[1])),
         2 * ell - 1,
@@ -473,7 +464,7 @@ def check_invariance(
     return InvarianceReport(checked, tuple(violations))
 
 
-def build_quasimorphism(provenance, rank_hint: Optional[int] = None) -> Quasimorphism:
+def build_quasimorphism(provenance) -> Quasimorphism:
     """Rebuild a quasimorphism from its provenance tree.
 
     Inverse of the ``provenance`` field for the constructions the CLI

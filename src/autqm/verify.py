@@ -103,13 +103,6 @@ def _check(name: str):
     return wrap
 
 
-def _random_words(rng, rank, count, max_len, min_len=0):
-    return [
-        random_reduced_word(rng, rank, rng.randrange(min_len, max_len + 1))
-        for _ in range(count)
-    ]
-
-
 @_check("ad_conjugation_identity")
 def check_ad_conjugation_identity(config: ExperimentConfig) -> str:
     rng = config.rng(1)
@@ -412,18 +405,7 @@ def check_graph_product_suite(config: ExperimentConfig) -> str:
         trials += 1
 
     dihedral = gp.VertexGraph.build([2, 2], [])
-    gens = gp.gp_generators(dihedral)
-    seen = {gp.gp_identity(dihedral)}
-    frontier = [gp.gp_identity(dihedral)]
-    for _ in range(8):
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = gp.gp_multiply(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
+    seen = set(gp.GraphProductDomain(dihedral).elements(8))
     assert len(seen) == 17, f"dihedral ball has {len(seen)} elements, expected 17"
 
     def model_mult(x, y):
@@ -488,17 +470,17 @@ def _brute_join_parts(graph):
 
 
 def _va_oracle(graph) -> bool:
-    if graph.is_complete():
-        return True
-    vs = graph.vertices
-    for size in range(1, len(vs) // 2 + 1):
-        for left in itertools.combinations(vs, size):
-            right = tuple(v for v in vs if v not in left)
-            if all(graph.adjacent(u, v) for u in left for v in right):
-                return _va_oracle(graph.induced(left)) and _va_oracle(
-                    graph.induced(right)
-                )
-    return len(vs) == 2 and tuple(graph.labels) == (2, 2)
+    # Virtually abelian iff every join part is a single vertex or a
+    # non-adjacent pair of order-2 vertices.
+    return all(
+        len(part) == 1
+        or (
+            len(part) == 2
+            and not graph.adjacent(*part)
+            and all(graph.label(v) == 2 for v in part)
+        )
+        for part in _brute_join_parts(graph)
+    )
 
 
 @_check("pipeline_quasimorphism")

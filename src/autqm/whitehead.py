@@ -23,7 +23,7 @@ from .automorphisms import (
     inverse,
     signed_permutations,
 )
-from .words import CyclicWord, Word, cyclic_reduce, letter_key
+from .words import CyclicWord, Word, cyclic_reduce, letter_key, signed_letters
 
 
 class CutoffExceeded(RuntimeError):
@@ -49,9 +49,7 @@ def type_two_autos(rank: int) -> list[Automorphism]:
     images by construction.  Y = {a} gives the identity, which is kept for
     deduplication by the caller.
     """
-    letters = sorted(
-        (l for i in range(1, rank + 1) for l in (i, -i)), key=letter_key
-    )
+    letters = signed_letters(rank)
     autos = []
     for a in letters:
         others = [x for x in range(1, rank + 1) if x != abs(a)]
@@ -200,9 +198,7 @@ class WhiteheadGraph:
     has_cut_vertex: bool
 
     def vertices(self) -> tuple[int, ...]:
-        return tuple(
-            sorted((l for i in range(1, self.rank + 1) for l in (i, -i)), key=letter_key)
-        )
+        return signed_letters(self.rank)
 
 
 def _components(vertices: list[int], adjacency: dict[int, set[int]]) -> int:
@@ -221,19 +217,22 @@ def _components(vertices: list[int], adjacency: dict[int, set[int]]) -> int:
 
 
 def whitehead_graph(w: Word) -> WhiteheadGraph:
-    """Build the Whitehead graph of a cyclically reduced word, with flags."""
+    """Build the Whitehead graph of a cyclically reduced word, with flags.
+
+    The graph depends only on the cyclic word, so every rotation gives
+    the same result.
+    """
     if not w:
         raise ValueError("the Whitehead graph needs a nonempty word")
-    core, t = cyclic_reduce(w)
-    if t != Word(w.rank, ()) or core.as_word().letters != w.letters:
-        raise ValueError("whitehead_graph expects a cyclically reduced word")
     letters = w.letters
+    if letters[0] == -letters[-1]:
+        raise ValueError("whitehead_graph expects a cyclically reduced word")
     edges = []
     for i, x in enumerate(letters):
         y = letters[(i + 1) % len(letters)]
         edges.append(tuple(sorted((-x, y), key=letter_key)))
     edges.sort(key=lambda e: (letter_key(e[0]), letter_key(e[1])))
-    vertices = [l for i in range(1, w.rank + 1) for l in (i, -i)]
+    vertices = signed_letters(w.rank)
     adjacency: dict[int, set[int]] = {v: set() for v in vertices}
     for x, y in edges:
         adjacency[x].add(y)

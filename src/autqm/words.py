@@ -21,6 +21,11 @@ def letter_key(letter: int) -> int:
     return 2 * abs(letter) - (2 if letter > 0 else 1)
 
 
+def signed_letters(rank: int) -> tuple[int, ...]:
+    """The 2 * rank letters of the given rank, in the order of letter_key."""
+    return tuple(l for i in range(1, rank + 1) for l in (i, -i))
+
+
 def word_key(letters: Sequence[int]) -> tuple:
     """Sort key for reduced words: by length, then letterwise."""
     return (len(letters), tuple(letter_key(l) for l in letters))
@@ -91,15 +96,8 @@ class CyclicWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"rank must be a positive integer, got {self.rank}")
-        letters = tuple(self.letters)
-        for l in letters:
-            if l == 0 or abs(l) > self.rank:
-                raise ValueError(f"letter {l} out of range for rank {self.rank}")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise ValueError(f"cyclic word {letters} is not freely reduced")
+        # Word checks the rank, the letter range and free reduction.
+        letters = Word(self.rank, self.letters).letters
         if letters and letters[0] == -letters[-1]:
             raise ValueError(f"cyclic word {letters} is not cyclically reduced")
         object.__setattr__(self, "letters", _canonical_rotation(letters))
@@ -120,11 +118,6 @@ def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 
 def identity(rank: int) -> Word:
     return Word(rank, ())
-
-
-def generator(rank: int, index: int) -> Word:
-    """The basis generator with the given (1-based, possibly negative) index."""
-    return Word(rank, (index,))
 
 
 def reduce(letters: Iterable[int], rank: int) -> Word:
@@ -260,9 +253,7 @@ def enumerate_reduced(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:
 
     Canonical order is by length, then lexicographic under letter_key.
     """
-    alphabet = sorted(
-        [l for i in range(1, rank + 1) for l in (i, -i)], key=letter_key
-    )
+    alphabet = signed_letters(rank)
     layer: list[tuple[int, ...]] = [()]
     yield ()
     for _ in range(max_len):
@@ -284,7 +275,7 @@ def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:
 def random_reduced_word(rng, rank: int, length: int) -> Word:
     """Uniform-ish random reduced word of exactly the given length."""
     letters: list[int] = []
-    choices = [l for i in range(1, rank + 1) for l in (i, -i)]
+    choices = signed_letters(rank)
     for _ in range(length):
         valid = [l for l in choices if not letters or l != -letters[-1]]
         letters.append(rng.choice(valid))

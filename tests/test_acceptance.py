@@ -1,8 +1,13 @@
 """Acceptance gate: every exit criterion at its stated tolerance.
 
 Each criterion prints one pass/fail line; run with `pytest -s` to see
-them, or `autqm verify all` for the same records as JSON lines.
+them, or `autqm verify all` for the same records as JSON lines.  Every
+record must match, byte for byte, the line pinned for it in
+data/verify-seed0.jsonl (the output of `autqm verify all --seed 0`).
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,13 @@ BUDGET_SECONDS = {
     "autocommutator_vs_commutator": 300,
 }
 
+PINNED_RECORDS = {
+    json.loads(line)["check"]: line
+    for line in (Path(__file__).parent / "data" / "verify-seed0.jsonl")
+    .read_text()
+    .splitlines()
+}
+
 
 @pytest.mark.parametrize("check", ALL_CHECKS, ids=lambda c: c.check_name)
 def test_acceptance(check):
@@ -31,6 +43,8 @@ def test_acceptance(check):
     status = "PASS" if result.passed else "FAIL"
     print(f"{status} {result.name} [{result.seconds:.2f}s] {result.detail}")
     assert result.passed, result.detail
+    record = json.dumps({"op": "verify", **result.record()}, sort_keys=True)
+    assert record == PINNED_RECORDS[result.name]
     budget = BUDGET_SECONDS[result.name]
     assert result.seconds < budget, (
         f"{result.name} took {result.seconds:.1f}s, budget {budget}s"
@@ -39,4 +53,5 @@ def test_acceptance(check):
 
 def test_every_criterion_is_covered():
     assert {c.check_name for c in ALL_CHECKS} == set(BUDGET_SECONDS)
+    assert set(PINNED_RECORDS) == set(BUDGET_SECONDS)
     assert len(ALL_CHECKS) == 13

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from autqm.cli import main, parse_auto_chain, parse_word
+from autqm.cli import main, parse_auto_chain, parse_group, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,7 @@ class TestQmCommands:
 
     def test_defect_exact(self, capsys):
         record = run_one(capsys, "qm", "defect", "--pattern", "ab", "--exact")
+        assert record["bound_type"] == "exact"
         assert record["value"] == "1"
         assert len(record["witness"]) == 2
 
@@ -119,6 +120,16 @@ class TestQmCommands:
             capsys, "qm", "average", "--pattern", "ab", "--on", "a", "--group", "signed"
         )
         assert record["value"] == "0"
+
+    def test_average_no_homog(self, capsys):
+        from autqm.quasimorphisms import brooks, finite_average
+
+        argv = ["qm", "average", "--pattern", "ab", "--on", "abab", "--group", "swap"]
+        raw = finite_average(brooks(parse_word("ab")), parse_group("swap", 2))
+        expected = str(raw(parse_word("abab")))
+        assert run_one(capsys, *argv, "--no-homog")["value"] == expected == "3/2"
+        assert run_one(capsys, *argv, "--homog")["value"] == "2"
+        assert run_one(capsys, *argv)["value"] == "2"
 
     def test_product_average(self, capsys):
         record = run_one(
@@ -322,6 +333,28 @@ class TestGpCommands:
         path.write_text("vertices 2\nlabel 0 1\n")
         code, _ = run_cli(capsys, "gp", "classify", "--graph", str(path))
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["auto", "apply", "--auto", "swap(1,5)", "--word", "ab"],
+        ["auto", "apply", "--auto", "ad()", "--word", "ab"],
+        ["gp", "classify", "--graph", "{missing}"],
+        ["qm", "eval", "--spec", "{missing}", "--on", "ab"],
+        ["verify", "ad-identity", "--config", "{missing}"],
+    ],
+    ids=["swap-index", "ad-arity", "missing-graph", "missing-spec", "missing-config"],
+)
+def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
+    missing = str(tmp_path / "missing")
+    code = main([a.format(missing=missing) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert "error" in json.loads(lines[0])
 
 
 class TestVerifyCommand:

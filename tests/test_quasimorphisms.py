@@ -145,6 +145,7 @@ class TestDefect:
         # Pattern of length 2: every witness class is realised by words of
         # length <= 3, so plain enumeration at 3 must agree exactly.
         exact = brooks_defect_exact(AB)
+        assert exact.bound_type == "exact"
         assert exact.value == defect_enumerate(brooks(AB), 3).value
         g, h = exact.witness
         f = brooks(AB)

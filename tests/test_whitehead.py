@@ -189,6 +189,14 @@ class TestWhiteheadGraph:
         assert graph.edges == ((1, -2), (-1, 2))
         assert not graph.connected
 
+    def test_every_rotation_gives_the_same_graph(self):
+        for letters in ((1, 2), (1, 2, -1, -2), (1, 1, 2), (1, 2, 2, -1, -2, 3)):
+            graphs = {
+                whitehead_graph(Word(3, letters[i:] + letters[:i]))
+                for i in range(len(letters))
+            }
+            assert len(graphs) == 1
+
     def test_rejects_non_cyclically_reduced(self):
         with pytest.raises(ValueError):
             whitehead_graph(w([1, 2, -1]))
