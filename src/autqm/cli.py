@@ -38,6 +38,7 @@ from .norms import (
     sacl_estimate,
 )
 from .quasimorphisms import (
+    FreeGroupDomain,
     brooks,
     brooks_defect_exact,
     brooks_homogeneous,
@@ -55,11 +56,15 @@ from .whitehead import (
     minimize,
     whitehead_graph,
 )
-from .words import Word, cyclic_reduce, is_conjugate, multiply, power, reduce
+from .words import Word, cyclic_reduce, invert, is_conjugate, multiply, power, reduce
 
 
 class InputError(ValueError):
     pass
+
+
+# Longest result `word pow` builds; a longer one is a cutoff, not an allocation.
+MAX_POWER_LETTERS = 10**7
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -265,16 +270,12 @@ def cmd_word(args) -> int:
         u, v = parse_word_pair(args.left, args.right, rank)
         emit({"op": "word.mul", "value": format_word(multiply(u, v))})
     elif args.word_op == "inv":
-        from .words import invert
-
         emit({"op": "word.inv", "value": format_word(invert(parse_word(args.word, rank)))})
     elif args.word_op == "pow":
-        emit(
-            {
-                "op": "word.pow",
-                "value": format_word(power(parse_word(args.word, rank), args.exponent)),
-            }
-        )
+        w = parse_word(args.word, rank)
+        if abs(args.exponent) * len(w) > MAX_POWER_LETTERS:
+            raise CutoffExceeded(f"power would exceed {MAX_POWER_LETTERS} letters", 0)
+        emit({"op": "word.pow", "value": format_word(power(w, args.exponent))})
     elif args.word_op == "cyc":
         core, conj = cyclic_reduce(parse_word(args.word, rank))
         emit(
@@ -297,7 +298,7 @@ def cmd_auto(args) -> int:
         phi = parse_auto_chain(args.auto, w.rank)
         emit({"op": "auto.apply", "value": format_word(apply(phi, w))})
     elif args.auto_op == "compose":
-        phi = parse_auto_chain(args.auto, rank or 2)
+        phi = parse_auto_chain(args.auto, 2 if rank is None else rank)
         emit({"op": "auto.compose", **auto_record(phi)})
     elif args.auto_op == "ad":
         w = parse_word(args.word, rank)
@@ -402,7 +403,13 @@ def cmd_qm(args) -> int:
             }
         )
     elif args.qm_op == "eval":
-        f = build_quasimorphism(_as_tuples(json.loads(_read_input(args.spec))))
+        spec = _as_tuples(json.loads(_read_input(args.spec)))
+        try:
+            f = build_quasimorphism(spec)
+        except (LookupError, TypeError) as exc:
+            raise InputError(f"malformed quasimorphism spec: {exc!r}")
+        if not isinstance(f.domain, FreeGroupDomain):
+            raise InputError(f"qm eval needs a free-group spec, got {f.domain.describe()}")
         emit({"op": "qm.eval", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
     return 0
 
@@ -680,6 +687,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "rank", None) is not None and args.rank < 1:
+            raise InputError(f"--rank must be at least 1, got {args.rank}")
         return args.func(args)
     except CutoffExceeded as exc:
         print(json.dumps({"error": str(exc), "cutoff": True}), file=sys.stderr)

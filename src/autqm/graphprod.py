@@ -102,18 +102,19 @@ def _canonical_order(
 ) -> list[tuple[int, int]]:
     # Lexicographically least linearization of the commutation trace:
     # greedy smallest available vertex in a topological sort of the
-    # dependence order (same vertex, or non-adjacent vertices).
-    n = len(sylls)
-    succs: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for i in range(n):
-        vi = sylls[i][0]
-        for j in range(i + 1, n):
-            vj = sylls[j][0]
-            if vi == vj or not graph.adjacent(vi, vj):
+    # dependence order (same vertex, or non-adjacent vertices).  Each
+    # syllable waits only for the latest earlier syllable at each vertex
+    # it depends on: the earlier ones at that vertex precede the latest.
+    latest: dict[int, int] = {}
+    succs: list[list[int]] = [[] for _ in sylls]
+    indeg = [0] * len(sylls)
+    for j, (v, _) in enumerate(sylls):
+        for u, i in latest.items():
+            if u == v or not graph.adjacent(u, v):
                 succs[i].append(j)
                 indeg[j] += 1
-    heap = [(sylls[i][0], i) for i in range(n) if indeg[i] == 0]
+        latest[v] = j
+    heap = [(sylls[i][0], i) for i in range(len(sylls)) if indeg[i] == 0]
     heapq.heapify(heap)
     out = []
     while heap:
@@ -124,6 +125,20 @@ def _canonical_order(
             if indeg[j] == 0:
                 heapq.heappush(heap, (sylls[j][0], j))
     return out
+
+
+def _normalise(
+    graph: VertexGraph, raw: Sequence[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """Normal-form syllables of a raw syllable sequence."""
+    sylls = []
+    for v, e in raw:
+        if v not in graph.vertices:
+            raise ValueError(f"unknown vertex {v}")
+        e = _normalize_exponent(graph.label(v), e)
+        if e:
+            sylls.append((v, e))
+    return tuple(_canonical_order(graph, _merge(graph, sylls)))
 
 
 @dataclass(frozen=True)
@@ -141,15 +156,7 @@ class GPWord:
         object.__setattr__(
             self, "syllables", tuple((v, e) for v, e in self.syllables)
         )
-        for v, e in self.syllables:
-            if v not in self.graph.vertices:
-                raise ValueError(f"unknown vertex {v}")
-            m = self.graph.label(v)
-            if e == 0 or (m > 0 and not 0 < e < m):
-                raise ValueError(f"exponent {e} invalid for vertex of order {m}")
-        merged = _merge(self.graph, list(self.syllables))
-        canonical = tuple(_canonical_order(self.graph, merged))
-        if canonical != self.syllables:
+        if _normalise(self.graph, self.syllables) != self.syllables:
             raise ValueError(f"{self.syllables} is not in normal form")
 
     def __len__(self) -> int:
@@ -165,15 +172,7 @@ def normal_form(graph: VertexGraph, raw: Sequence[tuple[int, int]]) -> GPWord:
     Two sequences represent the same group element iff their normal forms
     are identical.
     """
-    sylls = []
-    for v, e in raw:
-        if v not in graph.vertices:
-            raise ValueError(f"unknown vertex {v}")
-        e = _normalize_exponent(graph.label(v), e)
-        if e:
-            sylls.append((v, e))
-    merged = _merge(graph, sylls)
-    return GPWord(graph, tuple(_canonical_order(graph, merged)))
+    return GPWord(graph, _normalise(graph, raw))
 
 
 def gp_identity(graph: VertexGraph) -> GPWord:
@@ -216,9 +215,6 @@ class GraphProductDomain:
 
     def multiply(self, g, h):
         return gp_multiply(g, h)
-
-    def invert(self, g):
-        return gp_invert(g)
 
     def elements(self, max_len: int):
         gens = gp_generators(self.graph)

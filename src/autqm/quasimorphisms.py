@@ -43,9 +43,6 @@ class FreeGroupDomain:
     def multiply(self, g, h):
         return multiply(g, h)
 
-    def invert(self, g):
-        return invert(g)
-
     def elements(self, max_len: int):
         return enumerate_reduced_words(self.rank, max_len)
 
@@ -68,9 +65,6 @@ class ProductDomain:
 
     def multiply(self, g, h):
         return tuple(multiply(a, b) for a, b in zip(g, h))
-
-    def invert(self, g):
-        return tuple(invert(a) for a in g)
 
     def elements(self, max_len: int):
         factor = list(enumerate_reduced_words(self.factor_rank, max_len))

@@ -100,7 +100,8 @@ class CyclicWord:
         letters = Word(self.rank, self.letters).letters
         if letters and letters[0] == -letters[-1]:
             raise ValueError(f"cyclic word {letters} is not cyclically reduced")
-        object.__setattr__(self, "letters", _canonical_rotation(letters))
+        r = _least_rotation(letters)
+        object.__setattr__(self, "letters", letters[r:] + letters[:r])
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -109,11 +110,12 @@ class CyclicWord:
         return Word(self.rank, self.letters)
 
 
-def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    if len(letters) < 2:
-        return letters
-    rotations = (letters[i:] + letters[:i] for i in range(len(letters)))
-    return min(rotations, key=lambda rot: tuple(letter_key(l) for l in rot))
+def _least_rotation(letters: Sequence[int]) -> int:
+    """Offset of the least rotation under letter_key; the first one on ties."""
+    keys = tuple(letter_key(l) for l in letters)
+    n = len(keys)
+    doubled = keys + keys
+    return min(range(n), key=lambda i: doubled[i : i + n], default=0)
 
 
 def identity(rank: int) -> Word:
@@ -184,15 +186,10 @@ def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     letters = u.letters
     i, j = _strip_ends(letters)
     stripped = letters[i:j]
-    core = CyclicWord(u.rank, stripped)
     # The canonical rotation shifts the core; fold the shift into the
     # conjugator: t' = t * prefix, where core = prefix * rest rotated.
-    offset = 0
-    if len(stripped) >= 2:
-        for r in range(len(stripped)):
-            if stripped[r:] + stripped[:r] == core.letters:
-                offset = r
-                break
+    offset = _least_rotation(stripped)
+    core = CyclicWord(u.rank, stripped[offset:] + stripped[:offset])
     conjugator = Word(u.rank, letters[:i] + stripped[:offset])
     return core, conjugator
 

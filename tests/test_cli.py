@@ -19,6 +19,14 @@ def run_one(capsys, *argv):
     return records[0]
 
 
+def one_error_record(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
 class TestWordCommands:
     def test_reduce(self, capsys):
         record = run_one(capsys, "word", "reduce", "abBA")
@@ -43,6 +51,11 @@ class TestWordCommands:
     def test_parse_error_exit_code(self, capsys):
         code, _ = run_cli(capsys, "word", "reduce", "a1b")
         assert code == 2
+
+    def test_huge_power_is_a_cutoff(self, capsys):
+        # Refused before any letter is built: 2 * 10**11 letters.
+        assert main(["word", "pow", "ab", str(10**11)]) == 3
+        assert one_error_record(capsys)["cutoff"] is True
 
 
 class TestAutoCommands:
@@ -343,18 +356,40 @@ class TestGpCommands:
         ["gp", "classify", "--graph", "{missing}"],
         ["qm", "eval", "--spec", "{missing}", "--on", "ab"],
         ["verify", "ad-identity", "--config", "{missing}"],
+        ["auto", "compose", "--auto", "id", "--rank", "0"],
     ],
-    ids=["swap-index", "ad-arity", "missing-graph", "missing-spec", "missing-config"],
+    ids=[
+        "swap-index",
+        "ad-arity",
+        "missing-graph",
+        "missing-spec",
+        "missing-config",
+        "rank-0",
+    ],
 )
 def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
     missing = str(tmp_path / "missing")
-    code = main([a.format(missing=missing) for a in argv])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert "error" in json.loads(lines[0])
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    assert "error" in one_error_record(capsys)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"a": 1},
+        ["brooks", 2, 5],
+        ["brooks", "x", [1]],
+        5,
+        [],
+        ["zero", ["product", 2, 2]],
+    ],
+    ids=["object", "letters-int", "rank-str", "scalar", "empty", "product-domain"],
+)
+def test_bad_eval_spec_gives_one_json_error_line(capsys, tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["qm", "eval", "--spec", str(path), "--on", "ab"]) == 2
+    assert "error" in one_error_record(capsys)
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,8 @@ import pytest
 
 from autqm.graphprod import (
     GPWord,
+    _merge,
+    _normalize_exponent,
     GraphProductDomain,
     VertexGraph,
     classify_virtually_abelian,
@@ -61,6 +64,30 @@ def random_raw(rng, graph, length):
     return out
 
 
+def all_pairs_canonical_order(graph, sylls):
+    """Greedy least linearization with an edge for every dependent pair."""
+    n = len(sylls)
+    succs = [[] for _ in range(n)]
+    indeg = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            vi, vj = sylls[i][0], sylls[j][0]
+            if vi == vj or not graph.adjacent(vi, vj):
+                succs[i].append(j)
+                indeg[j] += 1
+    heap = [(sylls[i][0], i) for i in range(n) if indeg[i] == 0]
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        out.append(sylls[i])
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (sylls[j][0], j))
+    return out
+
+
 class TestNormalForm:
     def test_cancellation(self):
         assert normal_form(PATH, [(1, 1), (1, -1)]) == gp_identity(PATH)
@@ -92,6 +119,32 @@ class TestNormalForm:
             GPWord(PATH, ((1, 1), (0, 1)))
         with pytest.raises(ValueError):
             GPWord(C4, ((0, 2),))
+        order3 = VertexGraph.build([3, 0], [])
+        for syllables in (
+            ((2, 1),),  # unknown vertex
+            ((1, 0),),  # zero exponent
+            ((0, 3),),  # exponent equal to the vertex order
+            ((0, -1),),  # negative exponent at a finite-order vertex
+            ((1, 1), (0, 4)),  # exponent above the vertex order
+        ):
+            with pytest.raises(ValueError):
+                GPWord(order3, syllables)
+
+    def test_matches_all_pairs_oracle(self):
+        rng = random.Random(17)
+        for _ in range(1500):
+            graph = random_graph(rng, max_vertices=7)
+            raw = [
+                (rng.choice(graph.vertices), rng.randrange(-5, 6))
+                for _ in range(rng.randrange(0, 30))
+            ]
+            sylls = []
+            for v, e in raw:
+                e = _normalize_exponent(graph.label(v), e)
+                if e:
+                    sylls.append((v, e))
+            expected = all_pairs_canonical_order(graph, _merge(graph, sylls))
+            assert normal_form(graph, raw).syllables == tuple(expected)
 
     def test_relation_invariance(self):
         rng = random.Random(3)

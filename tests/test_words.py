@@ -17,6 +17,7 @@ from autqm.words import (
     primitive_root,
     random_reduced_word,
     reduce,
+    letter_key,
     word_key,
 )
 
@@ -158,6 +159,38 @@ class TestCyclicReduce:
         u = reduce(letters, 2)
         core, t = cyclic_reduce(u)
         assert conjugate(core.as_word(), t) == u
+
+    def test_matches_brute_force_oracle(self):
+        rng = random.Random(5)
+        words = [w([1, 2, 1, 2]), w([-2, 1, -2, 1, -2, 1]), w([2, 1, 2, 1, -2])]
+        for _ in range(3000):
+            rank = rng.randrange(2, 5)
+            words.append(random_reduced_word(rng, rank, rng.randrange(0, 15)))
+        for _ in range(500):
+            # Periodic cores, conjugated: every rotation ties with others.
+            rank = rng.randrange(2, 5)
+            base = random_reduced_word(rng, rank, rng.randrange(1, 5)).letters
+            if base[0] == -base[-1]:
+                continue
+            t = random_reduced_word(rng, rank, rng.randrange(0, 4)).letters
+            inv_t = tuple(-l for l in reversed(t))
+            words.append(reduce(t + base * rng.randrange(2, 5) + inv_t, rank))
+        for u in words:
+            core, t = cyclic_reduce(u)
+            assert (core.letters, t.letters) == brute_cyclic_reduce(u.letters)
+            assert conjugate(core.as_word(), t) == u
+
+
+def brute_cyclic_reduce(letters):
+    """Core and conjugator by trying every rotation; the first least on ties."""
+    t, core = [], list(letters)
+    while len(core) >= 2 and core[0] == -core[-1]:
+        t.append(core.pop(0))
+        core.pop()
+    rotations = [core[r:] + core[:r] for r in range(len(core))] or [[]]
+    keys = [tuple(letter_key(l) for l in rot) for rot in rotations]
+    r = keys.index(min(keys))
+    return tuple(rotations[r]), tuple(t + core[:r])
 
 
 class TestConjugacy:
