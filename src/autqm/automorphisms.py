@@ -12,7 +12,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .words import Word, invert as invert_word, is_conjugate, multiply, power
+from .words import (
+    Word, breadth_first, invert as invert_word, is_conjugate, multiply, power
+)
 
 
 @dataclass(frozen=True)
@@ -117,14 +119,6 @@ class Automorphism:
 
     def __call__(self, w: Word) -> Word:
         return apply(self, w)
-
-    def to_obj(self):
-        return {
-            "rank": self.rank,
-            "images": [list(w.letters) for w in self.images],
-            "inverse_images": [list(w.letters) for w in self.inverse_images],
-            "witness": self.witness.to_obj() if self.witness else None,
-        }
 
 
 def identity_automorphism(rank: int) -> Automorphism:
@@ -329,23 +323,12 @@ def composite_pool(rank: int, depth: int) -> list[Automorphism]:
     the returned list is deterministic.
     """
     elems = elementary_automorphisms(rank)
-    ident = identity_automorphism(rank)
-    seen = {ident.images: ident}
-    pool = [ident]
-    frontier = [ident]
-    for _ in range(depth):
-        nxt = []
-        for a in frontier:
-            for e in elems:
-                c = compose(a, e)
-                if c.images not in seen:
-                    seen[c.images] = c
-                    nxt.append(c)
-        pool.extend(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return pool
+    search = breadth_first(
+        identity_automorphism(rank),
+        lambda a: ((e, compose(a, e)) for e in elems),
+        radius=depth,
+    )
+    return [a for a, *_ in search]
 
 
 def achirality_search(
@@ -360,6 +343,8 @@ def achirality_search(
     """
     if not g:
         raise ValueError("achirality is about nontrivial elements")
+    if k_max < 1 or depth < 0:
+        raise ValueError(f"need k_max >= 1 and depth >= 0, got {k_max} and {depth}")
     powers = {k: (power(g, k), power(g, -k)) for k in range(1, k_max + 1)}
     for phi in composite_pool(g.rank, depth):
         for k in range(1, k_max + 1):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .quasimorphisms import FreeGroupDomain, Quasimorphism
-from .words import Word
+from .words import Word, breadth_first
 
 
 @dataclass(frozen=True)
@@ -218,19 +218,13 @@ class GraphProductDomain:
 
     def elements(self, max_len: int):
         gens = gp_generators(self.graph)
-        seen = {gp_identity(self.graph)}
-        yield gp_identity(self.graph)
-        frontier = [gp_identity(self.graph)]
-        for _ in range(max_len):
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = gp_multiply(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        yield y
-            frontier = nxt
+        search = breadth_first(
+            gp_identity(self.graph),
+            lambda x: ((s, gp_multiply(x, s)) for s in gens),
+            radius=max_len,
+        )
+        for x, *_ in search:
+            yield x
 
     def sort_key(self, g):
         return g.syllables
@@ -257,24 +251,16 @@ class JoinDecomposition:
 
 
 def _complement_components(graph: VertexGraph) -> list[list[int]]:
-    remaining = set(graph.vertices)
-    components = []
+    def non_neighbours(v: int):
+        for u in graph.vertices:
+            if u != v and not graph.adjacent(u, v):
+                yield u, u
+
+    components: list[list[int]] = []
     for start in graph.vertices:
-        if start not in remaining:
-            continue
-        remaining.remove(start)
-        comp = [start]
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            linked = [
-                u for u in sorted(remaining) if u != v and not graph.adjacent(u, v)
-            ]
-            for u in linked:
-                remaining.remove(u)
-                comp.append(u)
-                stack.append(u)
-        components.append(sorted(comp))
+        if all(start not in comp for comp in components):
+            search = breadth_first(start, non_neighbours)
+            components.append(sorted(v for v, *_ in search))
     return components
 
 

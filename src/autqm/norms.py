@@ -27,6 +27,7 @@ from .automorphisms import (
 from .quasimorphisms import Quasimorphism
 from .words import (
     Word,
+    breadth_first,
     conjugate,
     enumerate_reduced_words,
     identity,
@@ -85,6 +86,8 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     from g (peeling generators off the right), meeting in the middle.
     Ties between witnesses of minimal length break lexicographically.
     """
+    if cutoff < 0:
+        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     gens = sorted({s for s in gens if s}, key=Word.key)
     if not g:
         return NormResult("exact", 0, cutoff, ())
@@ -130,25 +133,18 @@ def _ball(
 ) -> tuple[dict[Word, int], dict[Word, tuple[Word, Word]], bool]:
     """Breadth-first ball around root under step(w, s) for s in gens.
 
-    Returns depths, parent links (w, s) and whether the ball ran out of
-    new elements before the radius.
+    Returns depths, parent links (w, s) ((None, None) at the root) and
+    whether the ball ran out of new elements before the radius.
     """
-    depth = {root: 0}
+    depth: dict[Word, int] = {}
     parent: dict[Word, tuple[Word, Word]] = {}
-    frontier = [root]
-    for _ in range(radius):
-        nxt = []
-        for w in sorted(frontier, key=Word.key):
-            for s in gens:
-                t = step(w, s)
-                if t not in depth:
-                    depth[t] = depth[w] + 1
-                    parent[t] = (w, s)
-                    nxt.append(t)
-        frontier = nxt
-        if not frontier:
-            return depth, parent, True
-    return depth, parent, False
+    search = breadth_first(
+        root, lambda w: ((s, step(w, s)) for s in gens), radius, Word.key
+    )
+    for w, up, gen, d in search:
+        depth[w] = d
+        parent[w] = (up, gen)
+    return depth, parent, d < radius
 
 
 def _path(depth: dict, parent: dict, w: Word) -> list[Word]:

@@ -211,6 +211,8 @@ def defect_enumerate(f: Quasimorphism, max_len: int) -> DefectCertificate:
     Returns the maximum of |f(g) + f(h) - f(gh)| with the lexicographically
     least witness pair attaining it.  Monotone nondecreasing in max_len.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     domain = f.domain
     elements = list(domain.elements(max_len))
     best = Fraction(0)

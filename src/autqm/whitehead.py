@@ -23,7 +23,9 @@ from .automorphisms import (
     inverse,
     signed_permutations,
 )
-from .words import CyclicWord, Word, cyclic_reduce, letter_key, signed_letters
+from .words import (
+    CyclicWord, Word, breadth_first, cyclic_reduce, letter_key, signed_letters
+)
 
 
 class CutoffExceeded(RuntimeError):
@@ -100,20 +102,13 @@ class OrbitLevel:
     """All minimal-length cyclic words connected by length-preserving moves."""
 
     words: frozenset[CyclicWord]
-    moves: tuple[tuple[CyclicWord, Automorphism, CyclicWord], ...]
 
     def length(self) -> int:
         return len(next(iter(self.words))) if self.words else 0
 
 
-def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
-    """Greedy Whitehead descent to a minimal-length orbit representative.
-
-    Returns the canonical minimal cyclic word (as a Word) together with
-    the trace of moves: pairs (automorphism, resulting cyclic word), which
-    replay the descent from w's conjugacy class.
-    """
-    autos = whitehead_autos(w.rank)
+def _descend(autos: list[Automorphism], w: Word) -> tuple[CyclicWord, list]:
+    # Steepest descent through the table autos; the least index wins ties.
     current = cyclic_reduce(w)[0]
     trace: list[tuple[Automorphism, Word]] = []
     while len(current) > 0:
@@ -127,6 +122,17 @@ def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
         _, idx, image = best
         trace.append((autos[idx], image.as_word()))
         current = image
+    return current, trace
+
+
+def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
+    """Greedy Whitehead descent to a minimal-length orbit representative.
+
+    Returns the canonical minimal cyclic word (as a Word) together with
+    the trace of moves: pairs (automorphism, resulting cyclic word), which
+    replay the descent from w's conjugacy class.
+    """
+    current, trace = _descend(whitehead_autos(w.rank), w)
     return current.as_word(), trace
 
 
@@ -137,28 +143,22 @@ def min_orbit_level(w: Word, max_size: int = 20000) -> OrbitLevel:
     truncated set must never be used for the predicates below.
     """
     autos = whitehead_autos(w.rank)
-    start = cyclic_reduce(minimize(w)[0])[0]
-    length = len(start)
-    seen = {start}
-    frontier = [start]
-    moves: list[tuple[CyclicWord, Automorphism, CyclicWord]] = []
-    while frontier:
-        nxt = []
-        for c in sorted(frontier, key=lambda x: x.letters):
-            for phi in autos:
-                image = _cyclic_image(phi, c)
-                if len(image) != length:
-                    continue
-                moves.append((c, phi, image))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-                    if len(seen) > max_size:
-                        raise CutoffExceeded(
-                            f"orbit level set exceeded {max_size} words", len(seen)
-                        )
-        frontier = nxt
-    return OrbitLevel(frozenset(seen), tuple(moves))
+    start = _descend(autos, w)[0]
+
+    def moves(c: CyclicWord):
+        for phi in autos:
+            image = _cyclic_image(phi, c)
+            if len(image) == len(start):
+                yield phi, image
+
+    level = []
+    for c, *_ in breadth_first(start, moves, order=lambda c: c.letters):
+        level.append(c)
+        if len(level) > max_size:
+            raise CutoffExceeded(
+                f"orbit level set exceeded {max_size} words", len(level)
+            )
+    return OrbitLevel(frozenset(level))
 
 
 def is_primitive(w: Word) -> bool:
@@ -197,22 +197,16 @@ class WhiteheadGraph:
     connected: bool
     has_cut_vertex: bool
 
-    def vertices(self) -> tuple[int, ...]:
-        return signed_letters(self.rank)
-
 
 def _components(vertices: list[int], adjacency: dict[int, set[int]]) -> int:
     remaining = set(vertices)
     count = 0
     while remaining:
         count += 1
-        stack = [remaining.pop()]
-        while stack:
-            v = stack.pop()
-            for u in adjacency[v]:
-                if u in remaining:
-                    remaining.remove(u)
-                    stack.append(u)
+        search = breadth_first(
+            remaining.pop(), lambda v: ((u, u) for u in adjacency[v])
+        )
+        remaining.difference_update(u for u, *_ in search)
     return count
 
 

@@ -245,6 +245,31 @@ def primitive_root(u: Word) -> tuple[Word, int, Word]:
     raise AssertionError("unreachable: every word is a power of itself")
 
 
+def breadth_first(root, neighbours, radius=None, order=None) -> Iterator[tuple]:
+    """Every node reachable from root, once each, layer by layer.
+
+    Yields (node, parent, step, depth), where neighbours(parent) yielded
+    (step, node) when node was first reached; the root comes first, as
+    (root, None, None, 0).  Nodes at depth radius are not expanded (no
+    limit when radius is None).  Each layer is expanded in discovery
+    order, or sorted by the key function order when one is given.
+    """
+    seen = {root}
+    yield root, None, None, 0
+    layer = [root]
+    depth = 0
+    while layer and (radius is None or depth < radius):
+        depth += 1
+        nxt = []
+        for node in layer if order is None else sorted(layer, key=order):
+            for step, child in neighbours(node):
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+                    yield child, node, step, depth
+        layer = nxt
+
+
 def enumerate_reduced(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:
     """All freely reduced letter tuples of length <= max_len, in canonical order.
 

@@ -250,7 +250,38 @@ class TestAchiralitySearch:
         assert is_conjugate(apply(phi, power(g, k)), power(g, -k))
 
 
+def frontier_composite_pool(rank, depth):
+    """The layer-by-layer loop composite_pool used before breadth_first."""
+    elems = elementary_automorphisms(rank)
+    ident = identity_automorphism(rank)
+    seen = {ident.images: ident}
+    pool = [ident]
+    frontier = [ident]
+    for _ in range(depth):
+        nxt = []
+        for a in frontier:
+            for e in elems:
+                c = compose(a, e)
+                if c.images not in seen:
+                    seen[c.images] = c
+                    nxt.append(c)
+        pool.extend(nxt)
+        frontier = nxt
+        if not frontier:
+            break
+    return pool
+
+
 class TestPools:
+    @pytest.mark.parametrize("rank", [2, 3])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_pool_matches_frontier_oracle(self, rank, depth):
+        pool = composite_pool(rank, depth)
+        oracle = frontier_composite_pool(rank, depth)
+        assert [(a.images, a.witness) for a in pool] == [
+            (a.images, a.witness) for a in oracle
+        ]
+
     def test_pool_contains_identity_once(self):
         pool = composite_pool(2, 2)
         ident_count = sum(1 for a in pool if equal(a, identity_automorphism(2)))

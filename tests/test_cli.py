@@ -357,6 +357,10 @@ class TestGpCommands:
         ["qm", "eval", "--spec", "{missing}", "--on", "ab"],
         ["verify", "ad-identity", "--config", "{missing}"],
         ["auto", "compose", "--auto", "id", "--rank", "0"],
+        ["qm", "defect", "--pattern", "ab", "--max-len", "-1"],
+        ["norm", "bfs", "--word", "ab", "--gens", "a,b", "--cutoff", "-1"],
+        ["auto", "achiral", "--word", "ab", "--kmax", "-1"],
+        ["auto", "achiral", "--word", "ab", "--depth", "-1"],
     ],
     ids=[
         "swap-index",
@@ -365,6 +369,10 @@ class TestGpCommands:
         "missing-spec",
         "missing-config",
         "rank-0",
+        "defect-max-len",
+        "bfs-cutoff",
+        "achiral-kmax",
+        "achiral-depth",
     ],
 )
 def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):

@@ -521,7 +521,39 @@ class TestFactorPermutation:
         assert iso == {1: 3, 2: 4}
 
 
+def frontier_elements(graph, max_len):
+    """The layer-by-layer loop GraphProductDomain.elements used before
+    breadth_first."""
+    gens = gp_generators(graph)
+    seen = {gp_identity(graph)}
+    yield gp_identity(graph)
+    frontier = [gp_identity(graph)]
+    for _ in range(max_len):
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = gp_multiply(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+                    yield y
+        frontier = nxt
+
+
 class TestDomain:
+    def test_enumeration_matches_frontier_oracle(self):
+        rng = random.Random(31)
+        for _ in range(40):
+            graph = random_graph(rng, max_vertices=6)
+            radius = rng.randrange(0, 4)
+            found = [x.syllables for x in GraphProductDomain(graph).elements(radius)]
+            assert found == [x.syllables for x in frontier_elements(graph, radius)]
+
+    def test_enumeration_is_lazy(self):
+        elements = GraphProductDomain(PATH).elements(10**6)
+        assert next(elements) == gp_identity(PATH)
+        assert len(next(elements)) == 1
+
     def test_enumeration_matches_ball(self):
         domain = GraphProductDomain(DIHEDRAL)
         assert len(list(domain.elements(8))) == 17

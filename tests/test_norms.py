@@ -12,6 +12,7 @@ from autqm.automorphisms import (
     signed_permutations,
 )
 from autqm.norms import (
+    _ball,
     acl_upper,
     bfs_norm,
     cl_upper,
@@ -124,6 +125,65 @@ class TestBfsNorm:
             base = bfs_norm(g, LETTERS, 8).value
             for a in SIGNED:
                 assert bfs_norm(apply(a, g), LETTERS, 8).value == base
+
+
+def frontier_ball(root, gens, radius, step):
+    """The layer-by-layer loop norms._ball used before breadth_first."""
+    depth = {root: 0}
+    parent = {}
+    frontier = [root]
+    for _ in range(radius):
+        nxt = []
+        for w in sorted(frontier, key=Word.key):
+            for s in gens:
+                t = step(w, s)
+                if t not in depth:
+                    depth[t] = depth[w] + 1
+                    parent[t] = (w, s)
+                    nxt.append(t)
+        frontier = nxt
+        if not frontier:
+            return depth, parent, True
+    return depth, parent, False
+
+
+class TestBallOracle:
+    def test_balls_match_frontier_oracle(self):
+        # The two balls bfs_norm grows, on random targets, generating
+        # sets and cutoffs, plus a finite ball (prefixes of g) that runs
+        # out before its radius; dict order is the discovery order.
+        rng = random.Random(37)
+        for _ in range(60):
+            rank = rng.choice([1, 2, 3])
+            g = random_reduced_word(rng, rank, rng.randrange(0, 6))
+            picks = {
+                random_reduced_word(rng, rank, rng.randrange(1, 3))
+                for _ in range(rng.randrange(1, 5))
+            }
+            gens = sorted(picks, key=Word.key)
+            cutoff = rng.randrange(0, 10)
+            for root, radius, step in (
+                (identity(rank), (cutoff + 1) // 2, multiply),
+                (g, cutoff // 2, lambda u, s: multiply(u, invert(s))),
+                (g, cutoff, lambda u, s: Word(rank, u.letters[:-1])),
+            ):
+                depth, parent, exhausted = _ball(root, gens, radius, step)
+                o_depth, o_parent, o_exhausted = frontier_ball(
+                    root, gens, radius, step
+                )
+                assert list(depth.items()) == list(o_depth.items())
+                assert [(u, parent[u]) for u in depth if u != root] == list(
+                    o_parent.items()
+                )
+                assert exhausted == o_exhausted
+            result = bfs_norm(g, gens, cutoff)
+            if result.found():
+                product = multiply_all((f.value for f in result.witness), rank)
+                assert product == g and len(result.witness) == result.value
+
+    def test_negative_cutoff_is_rejected(self):
+        with pytest.raises(ValueError):
+            bfs_norm(AB, LETTERS, -1)
 
 
 class TestAclUpper:

@@ -10,6 +10,7 @@ from autqm.automorphisms import (
     identity_automorphism,
     random_composite,
 )
+from autqm import whitehead
 from autqm.whitehead import (
     CutoffExceeded,
     in_proper_free_factor,
@@ -144,8 +145,21 @@ class TestOrbitLevel:
                     assert image in level.words
 
     def test_cutoff_raises(self):
-        with pytest.raises(CutoffExceeded):
+        with pytest.raises(CutoffExceeded) as exc:
             min_orbit_level(w([1, 1, 2, 2]), max_size=1)
+        assert str(exc.value) == "orbit level set exceeded 1 words"
+        assert exc.value.partial_size == 2
+
+    def test_move_table_is_built_once(self, monkeypatch):
+        ranks = []
+
+        def counting_autos(rank):
+            ranks.append(rank)
+            return whitehead_autos(rank)
+
+        monkeypatch.setattr(whitehead, "whitehead_autos", counting_autos)
+        min_orbit_level(w([1, 1, 2, -1, -1, -2]))
+        assert ranks == [2]
 
 
 class TestPredicates:

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from autqm.words import (
     CyclicWord,
     Word,
+    breadth_first,
     conjugate,
     cyclic_reduce,
     enumerate_reduced_words,
@@ -283,3 +284,71 @@ def test_enumeration_order_and_count():
     assert keys == sorted(keys)
     assert words[0] == identity(2)
     assert [x.letters for x in words[1:5]] == [(1,), (-1,), (2,), (-2,)]
+
+
+class TestBreadthFirst:
+    # A small directed graph whose second layer depends on the layer order.
+    GRAPH = {0: [1, 2], 1: [3], 2: [3, 4], 3: [0], 4: []}
+
+    def neighbours(self, v):
+        return ((f"{v}->{u}", u) for u in self.GRAPH[v])
+
+    def test_discovery_order(self):
+        assert list(breadth_first(0, self.neighbours)) == [
+            (0, None, None, 0),
+            (1, 0, "0->1", 1),
+            (2, 0, "0->2", 1),
+            (3, 1, "1->3", 2),
+            (4, 2, "2->4", 2),
+        ]
+
+    def test_order_sorts_each_layer(self):
+        found = list(breadth_first(0, self.neighbours, order=lambda v: -v))
+        assert found[3:] == [(3, 2, "2->3", 2), (4, 2, "2->4", 2)]
+
+    def test_radius(self):
+        assert list(breadth_first(0, self.neighbours, radius=0)) == [
+            (0, None, None, 0)
+        ]
+        assert [v for v, *_ in breadth_first(0, self.neighbours, 1)] == [0, 1, 2]
+
+    def test_random_graphs(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randrange(1, 12)
+            graph = {
+                v: [rng.randrange(n) for _ in range(rng.randrange(0, 4))]
+                for v in range(n)
+            }
+
+            def neighbours(v):
+                return enumerate(graph[v])
+
+            radius = rng.choice([None, 0, 1, 2, 3])
+            order = rng.choice([None, lambda v: -v, lambda v: v % 3])
+            found = list(breadth_first(0, neighbours, radius, order))
+            assert found[0] == (0, None, None, 0)
+            nodes = [v for v, *_ in found]
+            assert len(nodes) == len(set(nodes))
+            # Every node within the radius, at its distance from the root.
+            distance = {}
+            layer, d = [0], 0
+            while layer:
+                for v in layer:
+                    distance.setdefault(v, d)
+                layer = [u for v in layer for u in graph[v] if u not in distance]
+                d += 1
+            assert {v: d for v, _, _, d in found} == {
+                v: d for v, d in distance.items() if radius is None or d <= radius
+            }
+            depths = [d for *_, d in found]
+            assert depths == sorted(depths)
+            for v, parent, step, d in found[1:]:
+                assert graph[parent][step] == v
+                assert distance[parent] == d - 1
+            # Each layer is expanded in `order` (discovery order without
+            # one), so the parents of the next layer come in that order.
+            key = order or nodes.index
+            for d in set(depths) - {0}:
+                parents = [p for _, p, _, pd in found if pd == d]
+                assert parents == sorted(parents, key=key)
