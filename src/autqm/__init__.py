@@ -30,11 +30,9 @@ from .automorphisms import (
 )
 from .whitehead import (
     CutoffExceeded,
-    OrbitLevel,
     WhiteheadGraph,
     in_proper_free_factor,
     is_primitive,
-    min_orbit_level,
     minimize,
     whitehead_autos,
     whitehead_graph,

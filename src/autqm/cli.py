@@ -184,6 +184,8 @@ def parse_graph(path: str) -> gp.VertexGraph:
         try:
             if fields[0] == "vertices" and len(fields) == 2:
                 count = int(fields[1])
+                if count < 0:
+                    raise ValueError
             elif fields[0] == "label" and len(fields) == 3:
                 labels[int(fields[1])] = int(fields[2])
             elif fields[0] == "edge" and len(fields) == 3:
@@ -194,7 +196,9 @@ def parse_graph(path: str) -> gp.VertexGraph:
             raise InputError(f"line {lineno}: cannot parse {raw!r}")
     if count is None:
         raise InputError("missing 'vertices n' header")
-    label_list = [labels.get(i, 0) for i in range(count)]
+    label_list = [labels.pop(i, 0) for i in range(count)]
+    if labels:
+        raise InputError(f"label for unknown vertex {min(labels)}")
     try:
         return gp.VertexGraph.build(label_list, edges)
     except ValueError as exc:
@@ -490,6 +494,9 @@ def cmd_gp(args) -> int:
         )
     elif args.gp_op == "dinfty":
         factor = tuple(int(v) for v in args.factor.split(","))
+        for v in factor:
+            if v not in graph.vertices:
+                raise InputError(f"unknown vertex {v}")
         emit({"op": "gp.dinfty", "value": gp.is_dinfty(graph, factor)})
     elif args.gp_op == "classify":
         emit({"op": "gp.classify", "virtually_abelian": gp.classify_virtually_abelian(graph)})

@@ -311,9 +311,9 @@ def join_decompose(graph: VertexGraph) -> JoinDecomposition:
 
 
 def is_dinfty(graph: VertexGraph, factor: Sequence[int]) -> bool:
-    """True iff the factor is a pair of non-adjacent order-2 vertices."""
+    """True iff the factor is a pair of distinct non-adjacent order-2 vertices."""
     factor = tuple(sorted(factor))
-    if len(factor) != 2:
+    if len(factor) != 2 or factor[0] == factor[1]:
         return False
     u, v = factor
     return (

@@ -1,12 +1,15 @@
 """Orbit minimization of free-group words under the automorphism group.
 
 The toolkit here is classical: the finite set of Whitehead automorphisms,
-greedy length descent to an orbit-minimal cyclic word, breadth-first
-closure of the minimal level set, and the two predicates built on top of
-it (primitivity, membership in a proper free factor).  Greedy descent
-reaching the true orbit minimum is the standard peak-reduction fact and
-is cross-checked in the test suite against brute-force orbit enumeration
-at small lengths.
+greedy length descent to an orbit-minimal cyclic word (the peak-reduction
+fact, cross-checked in the test suite against brute-force orbit
+enumeration at small lengths), Whitehead graphs, and the two predicates
+built on them.  Free-factor membership rests on Whitehead's cut-vertex
+lemma (Ann. of Math. 1936; Stallings, "Whitehead graphs on handlebodies",
+1999): a word in a proper free factor has a disconnected Whitehead graph
+or one with a cut vertex, and a connected graph with a cut vertex admits
+a shortening Whitehead move.  So a nontrivial orbit-minimal word lies in
+a proper free factor iff its Whitehead graph is disconnected.
 """
 
 from __future__ import annotations
@@ -97,16 +100,6 @@ def _cyclic_image(phi: Automorphism, c: CyclicWord) -> CyclicWord:
     return cyclic_reduce(apply(phi, c.as_word()))[0]
 
 
-@dataclass(frozen=True)
-class OrbitLevel:
-    """All minimal-length cyclic words connected by length-preserving moves."""
-
-    words: frozenset[CyclicWord]
-
-    def length(self) -> int:
-        return len(next(iter(self.words))) if self.words else 0
-
-
 def _descend(autos: list[Automorphism], w: Word) -> tuple[CyclicWord, list]:
     # Steepest descent through the table autos; the least index wins ties.
     current = cyclic_reduce(w)[0]
@@ -136,31 +129,6 @@ def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
     return current.as_word(), trace
 
 
-def min_orbit_level(w: Word, max_size: int = 20000) -> OrbitLevel:
-    """BFS closure of the minimal level set under Whitehead moves.
-
-    Raises CutoffExceeded if the level set would exceed max_size; a
-    truncated set must never be used for the predicates below.
-    """
-    autos = whitehead_autos(w.rank)
-    start = _descend(autos, w)[0]
-
-    def moves(c: CyclicWord):
-        for phi in autos:
-            image = _cyclic_image(phi, c)
-            if len(image) == len(start):
-                yield phi, image
-
-    level = []
-    for c, *_ in breadth_first(start, moves, order=lambda c: c.letters):
-        level.append(c)
-        if len(level) > max_size:
-            raise CutoffExceeded(
-                f"orbit level set exceeded {max_size} words", len(level)
-            )
-    return OrbitLevel(frozenset(level))
-
-
 def is_primitive(w: Word) -> bool:
     """True iff w lies in the automorphism orbit of a basis generator."""
     if not w:
@@ -171,15 +139,12 @@ def is_primitive(w: Word) -> bool:
 def in_proper_free_factor(w: Word) -> bool:
     """True iff w is conjugate into a proper free factor.
 
-    Criterion: some minimal-level orbit word omits a basis generator in
-    both signs.
+    Criterion: the Whitehead graph of the orbit-minimal word is
+    disconnected (Whitehead's cut-vertex lemma; see the module docstring).
     """
     if not w:
         raise ValueError("the identity carries no free-factor information")
-    for c in min_orbit_level(w).words:
-        if len({abs(l) for l in c.letters}) < w.rank:
-            return True
-    return False
+    return not whitehead_graph(minimize(w)[0]).connected
 
 
 @dataclass(frozen=True)

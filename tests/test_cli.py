@@ -348,6 +348,13 @@ class TestGpCommands:
         assert code == 2
 
 
+BAD_INPUT_GRAPHS = {
+    "free_pair": "vertices 2\n",
+    "negative_count": "vertices -1\n",
+    "stray_label": "vertices 2\nlabel 5 2\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -361,6 +368,9 @@ class TestGpCommands:
         ["norm", "bfs", "--word", "ab", "--gens", "a,b", "--cutoff", "-1"],
         ["auto", "achiral", "--word", "ab", "--kmax", "-1"],
         ["auto", "achiral", "--word", "ab", "--depth", "-1"],
+        ["gp", "dinfty", "--graph", "{free_pair}", "--factor", "0,7"],
+        ["gp", "classify", "--graph", "{negative_count}"],
+        ["gp", "classify", "--graph", "{stray_label}"],
     ],
     ids=[
         "swap-index",
@@ -373,11 +383,17 @@ class TestGpCommands:
         "bfs-cutoff",
         "achiral-kmax",
         "achiral-depth",
+        "dinfty-unknown-vertex",
+        "graph-negative-count",
+        "graph-stray-label",
     ],
 )
 def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
-    missing = str(tmp_path / "missing")
-    assert main([a.format(missing=missing) for a in argv]) == 2
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, text in BAD_INPUT_GRAPHS.items():
+        paths[name] = str(tmp_path / f"{name}.graph")
+        (tmp_path / f"{name}.graph").write_text(text)
+    assert main([a.format(**paths) for a in argv]) == 2
     assert "error" in one_error_record(capsys)
 
 

@@ -355,6 +355,7 @@ class TestJoinDecompose:
 class TestClassification:
     def test_dinfty_detection(self):
         assert is_dinfty(DIHEDRAL, (0, 1))
+        assert not is_dinfty(DIHEDRAL, (0, 0))
         assert not is_dinfty(VertexGraph.build([0, 0], []), (0, 1))
         assert not is_dinfty(
             VertexGraph.build([2, 2, 2], []), (0, 1, 2)

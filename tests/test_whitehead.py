@@ -1,5 +1,7 @@
+import functools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import pytest
 
@@ -10,12 +12,13 @@ from autqm.automorphisms import (
     identity_automorphism,
     random_composite,
 )
-from autqm import whitehead
+from autqm.cli import parse_word
 from autqm.whitehead import (
     CutoffExceeded,
+    _cyclic_image,
+    _descend,
     in_proper_free_factor,
     is_primitive,
-    min_orbit_level,
     minimize,
     type_one_autos,
     type_two_autos,
@@ -25,7 +28,9 @@ from autqm.whitehead import (
 from autqm.words import (
     CyclicWord,
     Word,
+    breadth_first,
     cyclic_reduce,
+    enumerate_reduced,
     enumerate_reduced_words,
     random_reduced_word,
     reduce,
@@ -58,6 +63,73 @@ def orbit_min_length_oracle(word, slack=3):
             best = min(best, len(image))
             queue.append(image)
     return best
+
+
+@dataclass(frozen=True)
+class OrbitLevel:
+    """All minimal-length cyclic words connected by length-preserving moves."""
+
+    words: frozenset[CyclicWord]
+
+    def length(self) -> int:
+        return len(next(iter(self.words))) if self.words else 0
+
+
+def min_orbit_level(w: Word, max_size: int = 20000) -> OrbitLevel:
+    """BFS closure of the minimal level set under Whitehead moves.
+
+    Raises CutoffExceeded if the level set would exceed max_size; a
+    truncated set must never be used for the predicates below.
+    """
+    autos = whitehead_autos(w.rank)
+    start = _descend(autos, w)[0]
+
+    def moves(c: CyclicWord):
+        for phi in autos:
+            image = _cyclic_image(phi, c)
+            if len(image) == len(start):
+                yield phi, image
+
+    level = []
+    for c, *_ in breadth_first(start, moves, order=lambda c: c.letters):
+        level.append(c)
+        if len(level) > max_size:
+            raise CutoffExceeded(
+                f"orbit level set exceeded {max_size} words", len(level)
+            )
+    return OrbitLevel(frozenset(level))
+
+
+def cyclic_classes(rank, max_len):
+    """Every nontrivial conjugacy class up to max_len, once each."""
+    classes = {}
+    for letters in enumerate_reduced(rank, max_len):
+        if letters and letters[0] != -letters[-1]:
+            classes.setdefault(CyclicWord(rank, letters), None)
+    return list(classes)
+
+
+@functools.cache
+def level_set_answers(rank, max_len):
+    """Each orbit-minimal class up to max_len, mapped to the oracle's answer.
+
+    A class is orbit-minimal when no Whitehead move shortens it; these
+    are exactly the words that _descend reaches from the classes up to
+    max_len.  The answer is the level-set criterion: some word of the
+    minimal level set omits a basis generator in both signs.  Each level
+    set is searched once and answers for all of its words.
+    """
+    autos = whitehead_autos(rank)
+    answers = {}
+    for c in cyclic_classes(rank, max_len):
+        if c in answers or any(
+            len(_cyclic_image(phi, c)) < len(c) for phi in autos
+        ):
+            continue
+        level = min_orbit_level(c.as_word()).words
+        omits = any(len({abs(l) for l in x.letters}) < rank for x in level)
+        answers.update(dict.fromkeys(level, omits))
+    return answers
 
 
 class TestWhiteheadAutos:
@@ -144,23 +216,6 @@ class TestOrbitLevel:
                 if len(image) == length:
                     assert image in level.words
 
-    def test_cutoff_raises(self):
-        with pytest.raises(CutoffExceeded) as exc:
-            min_orbit_level(w([1, 1, 2, 2]), max_size=1)
-        assert str(exc.value) == "orbit level set exceeded 1 words"
-        assert exc.value.partial_size == 2
-
-    def test_move_table_is_built_once(self, monkeypatch):
-        ranks = []
-
-        def counting_autos(rank):
-            ranks.append(rank)
-            return whitehead_autos(rank)
-
-        monkeypatch.setattr(whitehead, "whitehead_autos", counting_autos)
-        min_orbit_level(w([1, 1, 2, -1, -1, -2]))
-        assert ranks == [2]
-
 
 class TestPredicates:
     def test_primitive_examples(self):
@@ -182,6 +237,34 @@ class TestPredicates:
         for word in [w([1]), w([1, 2]), w([1, 2, 2])]:
             assert is_primitive(word)
             assert in_proper_free_factor(word)
+
+
+class TestFreeFactorRule:
+    """The graph rule against the level-set oracle, class by class."""
+
+    def test_rank_two_matches_oracle(self):
+        answers = level_set_answers(2, 8)
+        autos = whitehead_autos(2)
+        classes = cyclic_classes(2, 8)
+        assert len(classes) == 1386
+        for c in classes:
+            minimal = _descend(autos, c.as_word())[0]
+            assert in_proper_free_factor(c.as_word()) == answers[minimal], c
+
+    @pytest.mark.parametrize(
+        "rank, max_len, count", [(2, 8, 750), (3, 6, 706), (4, 3, 24)]
+    )
+    def test_minimal_graph_decides(self, rank, max_len, count):
+        answers = level_set_answers(rank, max_len)
+        assert len(answers) == count
+        for minimal, expected in answers.items():
+            graph = whitehead_graph(minimal.as_word())
+            assert (not graph.connected) == expected, minimal
+            assert not (graph.connected and graph.has_cut_vertex), minimal
+
+    def test_word_with_a_large_level_set(self):
+        # Its minimal level set has 15 840 words; the rule needs one descent.
+        assert not in_proper_free_factor(parse_word("aaabCCacaabAACCC", 3))
 
 
 class TestWhiteheadGraph:
