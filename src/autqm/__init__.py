@@ -6,6 +6,7 @@ quasimorphism values); every search returns replayable witnesses.
 """
 
 from .words import (
+    CutoffExceeded,
     CyclicWord,
     Word,
     cyclic_reduce,
@@ -29,12 +30,10 @@ from .automorphisms import (
     word_transvection,
 )
 from .whitehead import (
-    CutoffExceeded,
     WhiteheadGraph,
     in_proper_free_factor,
     is_primitive,
     minimize,
-    whitehead_autos,
     whitehead_graph,
 )
 from .quasimorphisms import (

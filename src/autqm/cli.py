@@ -50,13 +50,14 @@ from .quasimorphisms import (
 )
 from .verify import SUITES, ExperimentConfig, run_suite
 from .whitehead import (
-    CutoffExceeded,
     in_proper_free_factor,
     is_primitive,
     minimize,
     whitehead_graph,
 )
-from .words import Word, cyclic_reduce, invert, is_conjugate, multiply, power, reduce
+from .words import (
+    CutoffExceeded, Word, cyclic_reduce, invert, is_conjugate, multiply, power, reduce
+)
 
 
 class InputError(ValueError):
@@ -181,19 +182,27 @@ def parse_graph(path: str) -> gp.VertexGraph:
         if not line:
             continue
         fields = line.split()
+        repeated = None
         try:
             if fields[0] == "vertices" and len(fields) == 2:
+                if count is not None:
+                    repeated = "a second 'vertices' line"
                 count = int(fields[1])
                 if count < 0:
                     raise ValueError
             elif fields[0] == "label" and len(fields) == 3:
-                labels[int(fields[1])] = int(fields[2])
+                vertex = int(fields[1])
+                if vertex in labels:
+                    repeated = f"a second label for vertex {vertex}"
+                labels[vertex] = int(fields[2])
             elif fields[0] == "edge" and len(fields) == 3:
                 edges.append((int(fields[1]), int(fields[2])))
             else:
                 raise ValueError
         except ValueError:
             raise InputError(f"line {lineno}: cannot parse {raw!r}")
+        if repeated:
+            raise InputError(f"line {lineno}: {repeated}")
     if count is None:
         raise InputError("missing 'vertices n' header")
     label_list = [labels.pop(i, 0) for i in range(count)]
@@ -419,8 +428,11 @@ def cmd_qm(args) -> int:
 
 
 def _as_tuples(obj):
+    # The library writes only strings, integers and lists into a provenance.
     if isinstance(obj, list):
         return tuple(_as_tuples(x) for x in obj)
+    if isinstance(obj, (bool, float)):
+        raise InputError(f"spec holds {json.dumps(obj)}; its numbers must be integers")
     return obj
 
 

@@ -477,14 +477,16 @@ def build_quasimorphism(provenance) -> Quasimorphism:
             raise ValueError("only counting quasimorphisms homogenise exactly")
         _, rank, letters = sub
         return brooks_homogeneous(Word(rank, tuple(letters)))
+    if kind in ("pullback", "finite_average"):
+        f = build_quasimorphism(provenance[1])
+        if not isinstance(f.domain, FreeGroupDomain):
+            raise ValueError(f"{kind} needs a free-group spec, got {f.domain.describe()}")
     if kind == "pullback":
-        _, sub, source_rank, image_letters = provenance
-        f = build_quasimorphism(sub)
+        _, _, source_rank, image_letters = provenance
         images = [Word(f.domain.rank, tuple(ls)) for ls in image_letters]
         return pullback(f, images, source_rank)
     if kind == "finite_average":
-        _, sub, tables = provenance
-        f = build_quasimorphism(sub)
+        _, _, tables = provenance
         rank = f.domain.rank
         autos = [
             Automorphism(

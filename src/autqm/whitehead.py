@@ -1,15 +1,17 @@
 """Orbit minimization of free-group words under the automorphism group.
 
-The toolkit here is classical: the finite set of Whitehead automorphisms,
-greedy length descent to an orbit-minimal cyclic word (the peak-reduction
-fact, cross-checked in the test suite against brute-force orbit
-enumeration at small lengths), Whitehead graphs, and the two predicates
-built on them.  Free-factor membership rests on Whitehead's cut-vertex
-lemma (Ann. of Math. 1936; Stallings, "Whitehead graphs on handlebodies",
-1999): a word in a proper free factor has a disconnected Whitehead graph
-or one with a cut vertex, and a connected graph with a cut vertex admits
-a shortening Whitehead move.  So a nontrivial orbit-minimal word lies in
-a proper free factor iff its Whitehead graph is disconnected.
+The toolkit here is classical: Whitehead automorphisms, greedy length
+descent to an orbit-minimal cyclic word (the peak-reduction fact,
+cross-checked in the test suite against brute-force orbit enumeration at
+small lengths), Whitehead graphs, and the two predicates built on them.
+The descent runs over the moves of the second kind only: a move of the
+first kind is a signed permutation, which never changes cyclic length.
+Free-factor membership rests on Whitehead's cut-vertex lemma (Ann. of
+Math. 1936; Stallings, "Whitehead graphs on handlebodies", 1999): a word
+in a proper free factor has a disconnected Whitehead graph or one with a
+cut vertex, and a connected graph with a cut vertex admits a shortening
+Whitehead move.  So a nontrivial orbit-minimal word lies in a proper
+free factor iff its Whitehead graph is disconnected.
 """
 
 from __future__ import annotations
@@ -24,24 +26,10 @@ from .automorphisms import (
     compose_all,
     elementary,
     inverse,
-    signed_permutations,
 )
 from .words import (
     CyclicWord, Word, breadth_first, cyclic_reduce, letter_key, signed_letters
 )
-
-
-class CutoffExceeded(RuntimeError):
-    """A search hit its resource cutoff; partial results are not usable."""
-
-    def __init__(self, message: str, partial_size: int):
-        super().__init__(message)
-        self.partial_size = partial_size
-
-
-def type_one_autos(rank: int) -> list[Automorphism]:
-    """Whitehead automorphisms of the first kind: signed permutations."""
-    return signed_permutations(rank)
 
 
 def type_two_autos(rank: int) -> list[Automorphism]:
@@ -51,8 +39,8 @@ def type_two_autos(rank: int) -> list[Automorphism]:
     the automorphism fixes a and sends every other generator x to
     a^{-[x^-1 in Y]} * x * a^{[x in Y]}.  Each is assembled from letter
     transvections, so it carries a replayable witness and valid inverse
-    images by construction.  Y = {a} gives the identity, which is kept for
-    deduplication by the caller.
+    images by construction.  Y = {a} gives the identity, once per
+    multiplier; it never shortens a word, so the descent never picks it.
     """
     letters = signed_letters(rank)
     autos = []
@@ -81,19 +69,6 @@ def _left_mult(a: int, x: int, rank: int) -> Automorphism:
     # x -> a^-1 * x for a signed letter a with |a| != x.
     base = elementary("transvection", (abs(a), x, "left"), rank)
     return inverse(base) if a > 0 else base
-
-
-def whitehead_autos(rank: int) -> list[Automorphism]:
-    """The full finite set of Whitehead automorphisms, deduplicated.
-
-    Deterministic order: type I first (signed permutations in canonical
-    order), then type II by multiplier letter and cut set.
-    """
-    seen = {}
-    for phi in type_one_autos(rank) + type_two_autos(rank):
-        if phi.images not in seen:
-            seen[phi.images] = phi
-    return list(seen.values())
 
 
 def _cyclic_image(phi: Automorphism, c: CyclicWord) -> CyclicWord:
@@ -125,7 +100,7 @@ def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
     the trace of moves: pairs (automorphism, resulting cyclic word), which
     replay the descent from w's conjugacy class.
     """
-    current, trace = _descend(whitehead_autos(w.rank), w)
+    current, trace = _descend(type_two_autos(w.rank), w)
     return current.as_word(), trace
 
 

@@ -245,6 +245,14 @@ def primitive_root(u: Word) -> tuple[Word, int, Word]:
     raise AssertionError("unreachable: every word is a power of itself")
 
 
+class CutoffExceeded(RuntimeError):
+    """A search hit its resource cutoff; partial results are not usable."""
+
+    def __init__(self, message: str, partial_size: int):
+        super().__init__(message)
+        self.partial_size = partial_size
+
+
 def breadth_first(root, neighbours, radius=None, order=None) -> Iterator[tuple]:
     """Every node reachable from root, once each, layer by layer.
 

@@ -352,6 +352,8 @@ BAD_INPUT_GRAPHS = {
     "free_pair": "vertices 2\n",
     "negative_count": "vertices -1\n",
     "stray_label": "vertices 2\nlabel 5 2\n",
+    "repeated_count": "vertices 2\nvertices 3\n",
+    "repeated_label": "vertices 2\nlabel 0 2\nlabel 0 3\n",
 }
 
 
@@ -371,6 +373,8 @@ BAD_INPUT_GRAPHS = {
         ["gp", "dinfty", "--graph", "{free_pair}", "--factor", "0,7"],
         ["gp", "classify", "--graph", "{negative_count}"],
         ["gp", "classify", "--graph", "{stray_label}"],
+        ["gp", "join", "--graph", "{repeated_count}"],
+        ["gp", "join", "--graph", "{repeated_label}"],
     ],
     ids=[
         "swap-index",
@@ -386,6 +390,8 @@ BAD_INPUT_GRAPHS = {
         "dinfty-unknown-vertex",
         "graph-negative-count",
         "graph-stray-label",
+        "graph-repeated-count",
+        "graph-repeated-label",
     ],
 )
 def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
@@ -406,8 +412,27 @@ def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
         5,
         [],
         ["zero", ["product", 2, 2]],
+        ["linear_combination", [[0.1, ["brooks", 2, [1]]]]],
+        ["brooks", 2, [1.5]],
+        ["brooks", 2.0, [1]],
+        ["brooks", 2, [True]],
+        ["pullback", ["zero", ["product", 2, 2]], 2, [[1], [2]]],
+        ["finite_average", ["zero", ["product", 2, 2]], []],
     ],
-    ids=["object", "letters-int", "rank-str", "scalar", "empty", "product-domain"],
+    ids=[
+        "object",
+        "letters-int",
+        "rank-str",
+        "scalar",
+        "empty",
+        "product-domain",
+        "float-coefficient",
+        "float-letter",
+        "float-rank",
+        "bool-letter",
+        "pullback-of-product",
+        "average-of-product",
+    ],
 )
 def test_bad_eval_spec_gives_one_json_error_line(capsys, tmp_path, spec):
     path = tmp_path / "spec.json"

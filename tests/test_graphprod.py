@@ -26,7 +26,7 @@ from autqm.graphprod import (
     project_kill_h0,
     refine,
 )
-from autqm.quasimorphisms import brooks_homogeneous, zero
+from autqm.quasimorphisms import brooks_homogeneous, defect_enumerate, zero
 from autqm.words import reduce
 
 # Two non-adjacent order-2 vertices: the infinite dihedral group.
@@ -485,6 +485,13 @@ class TestPipeline:
 
     def test_defect_bound_scales(self):
         assert self.qm.defect_bound == 2 * self.f.defect_bound
+
+    def test_enumerated_defect(self):
+        cert = defect_enumerate(self.qm, 2)
+        assert cert.value == 2
+        g, h = cert.witness
+        assert abs(self.qm(g) + self.qm(h) - self.qm(gp_multiply(g, h))) == 2
+        assert cert.value <= self.qm.defect_bound == 48
 
     def test_non_free_factor_requires_zero(self):
         d = join_decompose(C4)

@@ -11,21 +11,21 @@ from autqm.automorphisms import (
     equal,
     identity_automorphism,
     random_composite,
+    signed_permutations,
 )
+from autqm import whitehead
 from autqm.cli import parse_word
 from autqm.whitehead import (
-    CutoffExceeded,
     _cyclic_image,
     _descend,
     in_proper_free_factor,
     is_primitive,
     minimize,
-    type_one_autos,
     type_two_autos,
-    whitehead_autos,
     whitehead_graph,
 )
 from autqm.words import (
+    CutoffExceeded,
     CyclicWord,
     Word,
     breadth_first,
@@ -63,6 +63,22 @@ def orbit_min_length_oracle(word, slack=3):
             best = min(best, len(image))
             queue.append(image)
     return best
+
+
+@functools.cache
+def whitehead_autos(rank):
+    """The full finite set of Whitehead automorphisms, deduplicated.
+
+    Deterministic order: type I first (signed permutations in canonical
+    order), then type II by multiplier letter and cut set.  The descent in
+    src/ skips type I, which never changes cyclic length; the level sets
+    below need it to stay closed.
+    """
+    seen = {}
+    for phi in signed_permutations(rank) + type_two_autos(rank):
+        if phi.images not in seen:
+            seen[phi.images] = phi
+    return tuple(seen.values())
 
 
 @dataclass(frozen=True)
@@ -134,7 +150,7 @@ def level_set_answers(rank, max_len):
 
 class TestWhiteheadAutos:
     def test_type_one_count_rank_two(self):
-        assert len(type_one_autos(2)) == 8
+        assert len(signed_permutations(2)) == 8
 
     def test_identity_appears_once(self):
         autos = whitehead_autos(2)
@@ -148,6 +164,26 @@ class TestWhiteheadAutos:
         # One automorphism per (multiplier, cut) pair before deduplication.
         assert len(type_two_autos(2)) == 4 * 4
         assert len(type_two_autos(3)) == 6 * 16
+
+    def test_descent_matches_full_table(self, monkeypatch):
+        # Skipping type I must not move a trace: same moves, witnesses and
+        # results as the descent over the full deduplicated table.  minimize
+        # rebuilds its table on every call; caching it here only saves time.
+        monkeypatch.setattr(
+            whitehead, "type_two_autos", functools.cache(type_two_autos)
+        )
+
+        def moves(trace):
+            return [(phi.images, phi.witness, result) for phi, result in trace]
+
+        for rank, max_len in ((2, 30), (3, 16), (4, 10)):
+            rng = random.Random(rank)
+            for _ in range(40):
+                word = random_reduced_word(rng, rank, rng.randrange(1, max_len + 1))
+                minimal, trace = minimize(word)
+                expected, expected_trace = _descend(whitehead_autos(rank), word)
+                assert minimal == expected.as_word(), word
+                assert moves(trace) == moves(expected_trace), word
 
 
 class TestMinimize:
