@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .words import (
-    Word, breadth_first, invert as invert_word, is_conjugate, multiply, power
+    Word, breadth_first, invert as invert_word, is_conjugate, multiply, power,
+    substitute,
 )
 
 
@@ -74,20 +75,6 @@ class AutoWitness:
         return AutoWitness(obj["kind"], tuple(obj["params"]))
 
 
-def _substitute(table: Sequence[Word], w: Word, rank: int) -> Word:
-    out: list[int] = []
-    for l in w.letters:
-        img = table[abs(l) - 1].letters
-        if l < 0:
-            img = tuple(-x for x in reversed(img))
-        for x in img:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return Word(rank, tuple(out))
-
-
 @dataclass(frozen=True)
 class Automorphism:
     """An automorphism of F_rank given by basis images and inverse images.
@@ -110,8 +97,8 @@ class Automorphism:
                 raise ValueError("image word rank differs from automorphism rank")
         for i in range(1, n + 1):
             x = Word(n, (i,))
-            fwd = _substitute(self.inverse_images, _substitute(self.images, x, n), n)
-            bwd = _substitute(self.images, _substitute(self.inverse_images, x, n), n)
+            fwd = substitute(self.inverse_images, substitute(self.images, x, n), n)
+            bwd = substitute(self.images, substitute(self.inverse_images, x, n), n)
             if fwd != x or bwd != x:
                 raise ValueError(
                     "image tables do not define mutually inverse automorphisms"
@@ -182,7 +169,7 @@ def apply(phi: Automorphism, w: Word) -> Word:
     """Image of a word under the homomorphic extension of the basis images."""
     if phi.rank != w.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {w.rank}")
-    return _substitute(phi.images, w, phi.rank)
+    return substitute(phi.images, w, phi.rank)
 
 
 def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
@@ -190,9 +177,9 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     if phi.rank != psi.rank:
         raise ValueError(f"rank mismatch: {phi.rank} != {psi.rank}")
     n = phi.rank
-    images = tuple(_substitute(phi.images, w, n) for w in psi.images)
+    images = tuple(substitute(phi.images, w, n) for w in psi.images)
     inverse_images = tuple(
-        _substitute(psi.inverse_images, w, n) for w in phi.inverse_images
+        substitute(psi.inverse_images, w, n) for w in phi.inverse_images
     )
     witness = None
     if phi.witness is not None and psi.witness is not None:

@@ -416,14 +416,18 @@ def cmd_qm(args) -> int:
             }
         )
     elif args.qm_op == "eval":
-        spec = _as_tuples(json.loads(_read_input(args.spec)))
         try:
+            spec = _as_tuples(json.loads(_read_input(args.spec)))
             f = build_quasimorphism(spec)
-        except (LookupError, TypeError) as exc:
+            if not isinstance(f.domain, FreeGroupDomain):
+                raise InputError(f"qm eval needs a free-group spec, got {f.domain.describe()}")
+            value = f(parse_word(args.on, f.domain.rank))
+        except (LookupError, TypeError, ZeroDivisionError) as exc:
             raise InputError(f"malformed quasimorphism spec: {exc!r}")
-        if not isinstance(f.domain, FreeGroupDomain):
-            raise InputError(f"qm eval needs a free-group spec, got {f.domain.describe()}")
-        emit({"op": "qm.eval", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
+        except RecursionError:
+            # Parsing, decoding, building and evaluating all recurse on the nesting.
+            raise InputError("quasimorphism spec is nested too deeply")
+        emit({"op": "qm.eval", "value": format_rational(value)})
     return 0
 
 
@@ -539,6 +543,9 @@ def cmd_verify(args) -> int:
     if args.config:
         with open(args.config) as handle:
             data = json.load(handle)
+        # JSON true would pass for an integer; a bad config is input, not a violation.
+        if not isinstance(data, dict) or type(data.get("seed", 0)) is not int:
+            raise InputError("--config must be a JSON object with an integer seed")
         if seed is None:
             seed = data.get("seed")
     config = ExperimentConfig(seed=0 if seed is None else seed)

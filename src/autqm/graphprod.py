@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .quasimorphisms import FreeGroupDomain, Quasimorphism
-from .words import Word, breadth_first
+from .words import Word, breadth_first, components
 
 
 @dataclass(frozen=True)
@@ -241,27 +241,17 @@ class JoinDecomposition:
     part); the factors are the complement-graph components of size at
     least two, which are exactly the join-indecomposable parts.  The
     decomposition is unique up to permuting the factors; iso_classes
-    groups factor indices by labelled-graph isomorphism.
+    groups factor indices by labelled-graph isomorphism.  isos fixes the
+    compatible isomorphisms: isos[i] lists the images of the (sorted)
+    vertices of factors[i] under its canonical isomorphism onto the first
+    factor of its class, so a class's first factor maps to itself.
     """
 
     graph: VertexGraph
     gamma0: tuple[int, ...]
     factors: tuple[tuple[int, ...], ...]
     iso_classes: tuple[tuple[int, ...], ...]
-
-
-def _complement_components(graph: VertexGraph) -> list[list[int]]:
-    def non_neighbours(v: int):
-        for u in graph.vertices:
-            if u != v and not graph.adjacent(u, v):
-                yield u, u
-
-    components: list[list[int]] = []
-    for start in graph.vertices:
-        if all(start not in comp for comp in components):
-            search = breadth_first(start, non_neighbours)
-            components.append(sorted(v for v, *_ in search))
-    return components
+    isos: tuple[tuple[int, ...], ...]
 
 
 def factor_isomorphism(
@@ -292,21 +282,27 @@ def factor_isomorphism(
 
 
 def join_decompose(graph: VertexGraph) -> JoinDecomposition:
-    components = _complement_components(graph)
-    gamma0 = tuple(sorted(c[0] for c in components if len(c) == 1))
-    factors = tuple(
-        tuple(c) for c in sorted((c for c in components if len(c) >= 2), key=min)
-    )
+    def non_neighbours(v: int):
+        return (u for u in graph.vertices if u != v and not graph.adjacent(u, v))
+
+    # Complement components come in order of their least vertex.
+    parts = components(graph.vertices, non_neighbours)
+    gamma0 = tuple(c[0] for c in parts if len(c) == 1)
+    factors = tuple(tuple(sorted(c)) for c in parts if len(c) >= 2)
     classes: list[list[int]] = []
+    isos: list[tuple[int, ...]] = []
     for idx, factor in enumerate(factors):
         for cls in classes:
-            if factor_isomorphism(graph, factor, factors[cls[0]]) is not None:
+            iso = factor_isomorphism(graph, factor, factors[cls[0]])
+            if iso is not None:
                 cls.append(idx)
+                isos.append(tuple(iso[v] for v in factor))
                 break
         else:
             classes.append([idx])
+            isos.append(factor)
     return JoinDecomposition(
-        graph, gamma0, factors, tuple(tuple(c) for c in classes)
+        graph, gamma0, factors, tuple(tuple(c) for c in classes), tuple(isos)
     )
 
 
@@ -416,34 +412,21 @@ def permute_factors(
     """Apply the factor-permutation automorphism induced by sigma.
 
     sigma permutes factor indices within isomorphism classes.  Vertices
-    travel through the fixed compatible isomorphisms (each factor's
-    canonical isomorphism to its class representative), which makes the
-    permutation action functorial: composing permutations composes the
-    induced maps.  Complete-part syllables stay put.
+    travel through the fixed compatible isomorphisms d.isos, which makes
+    the permutation action functorial: composing permutations composes
+    the induced maps.  Complete-part syllables stay put.
     """
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(len(d.factors))):
         raise ValueError("sigma must permute the factor indices")
-    class_of = {}
-    for cls in d.iso_classes:
-        for i in cls:
-            class_of[i] = cls[0]
-    for i, j in enumerate(sigma):
-        if class_of[i] != class_of[j]:
-            raise ValueError(f"factors {i} and {j} are not isomorphic")
     vertex_map: dict[int, int] = {v: v for v in d.gamma0}
-    for cls in d.iso_classes:
-        rep = d.factors[cls[0]]
-        to_rep = {
-            i: factor_isomorphism(d.graph, d.factors[i], rep) for i in cls
-        }
-        from_rep = {
-            i: {b: a for a, b in to_rep[i].items()} for i in cls
-        }
-        for i in cls:
-            j = sigma[i]
-            for v in d.factors[i]:
-                vertex_map[v] = from_rep[j][to_rep[i][v]]
+    for i, j in enumerate(sigma):
+        from_rep = dict(zip(d.isos[j], d.factors[j]))
+        # Two factors share a class iff they map onto the same first factor.
+        if set(d.isos[i]) != from_rep.keys():
+            raise ValueError(f"factors {i} and {j} are not isomorphic")
+        for v, image in zip(d.factors[i], d.isos[i]):
+            vertex_map[v] = from_rep[image]
     return normal_form(x.graph, [(vertex_map[v], e) for v, e in x.syllables])
 
 
@@ -472,13 +455,10 @@ def gp_pipeline_qm(
         raise ValueError("decomposition belongs to a different graph")
     if not 1 <= k <= len(d.factors):
         raise ValueError(f"need 1 <= k <= {len(d.factors)}, got {k}")
-    base = d.factors[0]
-    isos = []
     for i in range(k):
-        iso = factor_isomorphism(graph, d.factors[i], base)
-        if iso is None:
+        if i not in d.iso_classes[0]:
             raise ValueError(f"factor {i} is not isomorphic to factor 0")
-        isos.append(iso)
+    base = d.factors[0]
     rank = _free_factor_rank(graph, base)
     if rank is None:
         if f.provenance[0] != "zero":
@@ -490,21 +470,21 @@ def gp_pipeline_qm(
             raise ValueError(
                 f"the evaluator must live on the free factor of rank {rank}"
             )
-    base_sorted = tuple(sorted(base))
+    isos = [dict(zip(d.factors[i], d.isos[i])) for i in range(k)]
 
     def embed(component: GPWord, iso: dict[int, int]) -> Word:
         letters = []
         for v, e in component.syllables:
-            index = base_sorted.index(iso[v]) + 1
+            index = base.index(iso[v]) + 1
             letters.extend([index if e > 0 else -index] * abs(e))
         return Word(rank, tuple(letters))
 
     def evaluate(x: GPWord) -> Fraction:
-        components = project_kill_h0(x, d)
+        parts = project_kill_h0(x, d)
         if rank is None:
             return Fraction(0)
         return sum(
-            (f(embed(components[i], isos[i])) for i in range(k)), Fraction(0)
+            (f(embed(parts[i], isos[i])) for i in range(k)), Fraction(0)
         )
 
     return Quasimorphism(

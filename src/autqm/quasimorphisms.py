@@ -22,6 +22,7 @@ from .words import (
     invert,
     multiply,
     power,
+    substitute,
     word_key,
 )
 
@@ -320,16 +321,9 @@ def pullback(
         if u.rank != f.domain.rank:
             raise ValueError("image words must live in the target free group")
 
-    def push(g: Word) -> Word:
-        out = Word(f.domain.rank, ())
-        for l in g.letters:
-            piece = images[abs(l) - 1]
-            out = multiply(out, piece if l > 0 else invert(piece))
-        return out
-
     return Quasimorphism(
         domain=FreeGroupDomain(source_rank),
-        evaluate=lambda g: f(push(g)),
+        evaluate=lambda g: f(substitute(images, g, f.domain.rank)),
         defect_bound=f.defect_bound,
         homogeneous=f.homogeneous,
         provenance=(

@@ -28,7 +28,7 @@ from .automorphisms import (
     inverse,
 )
 from .words import (
-    CyclicWord, Word, breadth_first, cyclic_reduce, letter_key, signed_letters
+    CyclicWord, Word, components, cyclic_reduce, letter_key, signed_letters
 )
 
 
@@ -138,18 +138,6 @@ class WhiteheadGraph:
     has_cut_vertex: bool
 
 
-def _components(vertices: list[int], adjacency: dict[int, set[int]]) -> int:
-    remaining = set(vertices)
-    count = 0
-    while remaining:
-        count += 1
-        search = breadth_first(
-            remaining.pop(), lambda v: ((u, u) for u in adjacency[v])
-        )
-        remaining.difference_update(u for u, *_ in search)
-    return count
-
-
 def whitehead_graph(w: Word) -> WhiteheadGraph:
     """Build the Whitehead graph of a cyclically reduced word, with flags.
 
@@ -171,13 +159,10 @@ def whitehead_graph(w: Word) -> WhiteheadGraph:
     for x, y in edges:
         adjacency[x].add(y)
         adjacency[y].add(x)
-    connected = _components(vertices, adjacency) == 1
-    has_cut = False
-    if connected and len(vertices) > 2:
-        for v in vertices:
-            rest = [u for u in vertices if u != v]
-            sub = {u: adjacency[u] - {v} for u in rest}
-            if _components(rest, sub) > 1:
-                has_cut = True
-                break
+    connected = len(components(vertices, adjacency.__getitem__)) == 1
+    # Removing a cut vertex leaves the other vertices disconnected.
+    has_cut = connected and len(vertices) > 2 and any(
+        len(components([u for u in vertices if u != v], lambda u: adjacency[u] - {v})) > 1
+        for v in vertices
+    )
     return WhiteheadGraph(w.rank, tuple(edges), connected, has_cut)

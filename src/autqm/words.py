@@ -152,6 +152,21 @@ def multiply(u: Word, v: Word) -> Word:
     return Word(u.rank, tuple(out))
 
 
+def substitute(images: Sequence[Word], w: Word, rank: int) -> Word:
+    """w with each generator i replaced by images[i - 1], freely reduced."""
+    out: list[int] = []
+    for l in w.letters:
+        img = images[abs(l) - 1].letters
+        if l < 0:
+            img = tuple(-x for x in reversed(img))
+        for x in img:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
+    return Word(rank, tuple(out))
+
+
 def multiply_all(words: Iterable[Word], rank: int) -> Word:
     prod = identity(rank)
     for w in words:
@@ -276,6 +291,23 @@ def breadth_first(root, neighbours, radius=None, order=None) -> Iterator[tuple]:
                     nxt.append(child)
                     yield child, node, step, depth
         layer = nxt
+
+
+def components(vertices, neighbours) -> list[list]:
+    """Connected components of a graph, as lists of vertices.
+
+    neighbours(v) yields the vertices adjacent to v.  Components come in
+    the order of their first vertex in vertices, each in breadth-first
+    order from that vertex.
+    """
+    found: list[list] = []
+    seen: set = set()
+    for start in vertices:
+        if start not in seen:
+            search = breadth_first(start, lambda v: ((u, u) for u in neighbours(v)))
+            found.append([v for v, *_ in search])
+            seen.update(found[-1])
+    return found
 
 
 def enumerate_reduced(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:

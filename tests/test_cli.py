@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from autqm.cli import main, parse_auto_chain, parse_group, parse_word
 
@@ -348,12 +352,15 @@ class TestGpCommands:
         assert code == 2
 
 
-BAD_INPUT_GRAPHS = {
+BAD_INPUT_FILES = {
     "free_pair": "vertices 2\n",
     "negative_count": "vertices -1\n",
     "stray_label": "vertices 2\nlabel 5 2\n",
     "repeated_count": "vertices 2\nvertices 3\n",
     "repeated_label": "vertices 2\nlabel 0 2\nlabel 0 3\n",
+    "config_list": "[1]",
+    "config_string_seed": '{"seed": "x"}',
+    "config_bool_seed": '{"seed": true}',
 }
 
 
@@ -375,6 +382,9 @@ BAD_INPUT_GRAPHS = {
         ["gp", "classify", "--graph", "{stray_label}"],
         ["gp", "join", "--graph", "{repeated_count}"],
         ["gp", "join", "--graph", "{repeated_label}"],
+        ["verify", "ad-identity", "--config", "{config_list}"],
+        ["verify", "ad-identity", "--config", "{config_string_seed}"],
+        ["verify", "ad-identity", "--config", "{config_bool_seed}"],
     ],
     ids=[
         "swap-index",
@@ -392,15 +402,30 @@ BAD_INPUT_GRAPHS = {
         "graph-stray-label",
         "graph-repeated-count",
         "graph-repeated-label",
+        "config-list",
+        "config-string-seed",
+        "config-bool-seed",
     ],
 )
 def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
     paths = {"missing": str(tmp_path / "missing")}
-    for name, text in BAD_INPUT_GRAPHS.items():
-        paths[name] = str(tmp_path / f"{name}.graph")
-        (tmp_path / f"{name}.graph").write_text(text)
+    for name, text in BAD_INPUT_FILES.items():
+        paths[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text)
     assert main([a.format(**paths) for a in argv]) == 2
     assert "error" in one_error_record(capsys)
+
+
+def nested_pullbacks(depth):
+    """A counting quasimorphism pulled back along the identity depth times.
+
+    From the command line, 500 levels exceed the recursion limit while
+    the spec is decoded and 350 while it is evaluated; 300 evaluate.
+    """
+    spec = ["brooks", 2, [1, 2]]
+    for _ in range(depth):
+        spec = ["pullback", spec, 2, [[1], [2]]]
+    return spec
 
 
 @pytest.mark.parametrize(
@@ -418,6 +443,11 @@ def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
         ["brooks", 2, [True]],
         ["pullback", ["zero", ["product", 2, 2]], 2, [[1], [2]]],
         ["finite_average", ["zero", ["product", 2, 2]], []],
+        ["linear_combination", [["1/0", ["zero", ["free", 2]]]]],
+        ["zero", ["free", "x"]],
+        "[" * 100_000,
+        nested_pullbacks(500),
+        nested_pullbacks(350),
     ],
     ids=[
         "object",
@@ -432,13 +462,113 @@ def test_bad_input_gives_one_json_error_line(capsys, tmp_path, argv):
         "bool-letter",
         "pullback-of-product",
         "average-of-product",
+        "zero-denominator",
+        "zero-string-rank",
+        "deep-json",
+        "deep-decode",
+        "deep-evaluation",
     ],
 )
 def test_bad_eval_spec_gives_one_json_error_line(capsys, tmp_path, spec):
+    # A string is the raw file text; anything else is written as JSON.
     path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     assert main(["qm", "eval", "--spec", str(path), "--on", "ab"]) == 2
     assert "error" in one_error_record(capsys)
+
+
+SPEC_KINDS = (
+    "brooks",
+    "homogenised",
+    "pullback",
+    "finite_average",
+    "product_average",
+    "linear_combination",
+    "zero",
+)
+small_ints = st.integers(-2, 5)
+letter_lists = st.lists(st.integers(-3, 3), max_size=4)
+junk = st.one_of(
+    st.integers(-10, 10**12),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SPEC_KINDS + ("free", "product", "1/2", "1/0", "x")),
+)
+
+
+def spec_nodes(child):
+    """One level of the spec grammar: every kind, each with a child spec
+    wherever the grammar nests one, plus plain lists of children."""
+    return st.one_of(
+        st.lists(child, max_size=4),
+        st.tuples(st.just("brooks"), small_ints, letter_lists),
+        st.tuples(st.just("homogenised"), child),
+        st.tuples(
+            st.just("pullback"), child, small_ints, st.lists(letter_lists, max_size=3)
+        ),
+        st.tuples(
+            st.just("finite_average"),
+            child,
+            st.lists(
+                st.tuples(
+                    st.lists(letter_lists, max_size=3),
+                    st.lists(letter_lists, max_size=3),
+                ),
+                max_size=2,
+            ),
+        ),
+        st.tuples(st.just("product_average"), child, small_ints, small_ints),
+        st.tuples(
+            st.just("linear_combination"),
+            st.lists(
+                st.tuples(st.one_of(small_ints, st.sampled_from(["1/2", "-3", "1/0"])), child),
+                max_size=3,
+            ),
+        ),
+        st.tuples(
+            st.just("zero"),
+            st.one_of(
+                st.tuples(st.just("free"), small_ints),
+                st.tuples(st.just("product"), small_ints, small_ints),
+                child,
+            ),
+        ),
+    )
+
+
+specs = st.recursive(
+    st.one_of(
+        junk,
+        st.tuples(st.just("brooks"), small_ints, letter_lists),
+        st.tuples(st.just("zero"), st.tuples(st.just("free"), small_ints)),
+    ),
+    spec_nodes,
+    max_leaves=12,
+)
+
+
+# 300 examples reach a zero-denominator coefficient; 100 do not.
+@settings(max_examples=300)
+@given(specs, st.sampled_from(["a", "ab", "aBAb", "c"]))
+def test_fuzzed_eval_spec_exits_cleanly(spec, on):
+    out, err = io.StringIO(), io.StringIO()
+    text = json.dumps(spec)
+    with (
+        mock.patch("sys.stdin", io.StringIO(text)),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(err),
+    ):
+        code = main(["qm", "eval", "--spec", "-", "--on", on])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1
+        assert "error" in json.loads(lines[0])
+    else:
+        assert json.loads(out.getvalue())["op"] == "qm.eval"
 
 
 class TestVerifyCommand:

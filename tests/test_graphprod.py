@@ -26,8 +26,13 @@ from autqm.graphprod import (
     project_kill_h0,
     refine,
 )
-from autqm.quasimorphisms import brooks_homogeneous, defect_enumerate, zero
-from autqm.words import reduce
+from autqm.quasimorphisms import (
+    FreeGroupDomain,
+    brooks_homogeneous,
+    defect_enumerate,
+    zero,
+)
+from autqm.words import Word, random_reduced_word, reduce
 
 # Two non-adjacent order-2 vertices: the infinite dihedral group.
 DIHEDRAL = VertexGraph.build([2, 2], [])
@@ -527,6 +532,152 @@ class TestFactorPermutation:
     def test_isomorphism_is_canonical(self):
         iso = factor_isomorphism(PIPE, (1, 2), (3, 4))
         assert iso == {1: 3, 2: 4}
+
+
+def recomputed_isos(d):
+    """JoinDecomposition.isos recomputed: each factor's factor_isomorphism
+    onto the first factor of its class, as permute_factors did."""
+    isos = {}
+    for cls in d.iso_classes:
+        for i in cls:
+            iso = factor_isomorphism(d.graph, d.factors[i], d.factors[cls[0]])
+            isos[i] = tuple(iso[v] for v in d.factors[i])
+    return tuple(isos[i] for i in range(len(d.factors)))
+
+
+def recomputing_permute_factors(x, d, sigma):
+    """permute_factors as written before JoinDecomposition.isos."""
+    sigma = tuple(sigma)
+    if sorted(sigma) != list(range(len(d.factors))):
+        raise ValueError("sigma must permute the factor indices")
+    class_of = {}
+    for cls in d.iso_classes:
+        for i in cls:
+            class_of[i] = cls[0]
+    for i, j in enumerate(sigma):
+        if class_of[i] != class_of[j]:
+            raise ValueError(f"factors {i} and {j} are not isomorphic")
+    vertex_map = {v: v for v in d.gamma0}
+    for cls in d.iso_classes:
+        rep = d.factors[cls[0]]
+        to_rep = {i: factor_isomorphism(d.graph, d.factors[i], rep) for i in cls}
+        from_rep = {i: {b: a for a, b in to_rep[i].items()} for i in cls}
+        for i in cls:
+            for v in d.factors[i]:
+                vertex_map[v] = from_rep[sigma[i]][to_rep[i][v]]
+    return normal_form(x.graph, [(vertex_map[v], e) for v, e in x.syllables])
+
+
+def pipeline_isos(graph, d, k):
+    """gp_pipeline_qm's factor_isomorphism loop before JoinDecomposition.isos."""
+    isos = []
+    for i in range(k):
+        iso = factor_isomorphism(graph, d.factors[i], d.factors[0])
+        if iso is None:
+            raise ValueError(f"factor {i} is not isomorphic to factor 0")
+        isos.append(iso)
+    return isos
+
+
+def pipeline_value(d, f, isos, x):
+    """gp_pipeline_qm's value on a free first factor, through the given isos."""
+    base_sorted = tuple(sorted(d.factors[0]))
+    total = Fraction(0)
+    for component, iso in zip(project_kill_h0(x, d), isos):
+        letters = []
+        for v, e in component.syllables:
+            index = base_sorted.index(iso[v]) + 1
+            letters.extend([index if e > 0 else -index] * abs(e))
+        total += f(Word(f.domain.rank, tuple(letters)))
+    return total
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def random_join(rng):
+    """A join of random pieces, some repeated, with shuffled vertex ids."""
+    pieces = []
+    for _ in range(rng.randrange(1, 4)):
+        n = rng.randrange(1, 4)
+        labels = [rng.choice([0, 0, 2, 3]) for _ in range(n)]
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3
+        ]
+        pieces += [(labels, edges)] * rng.randrange(1, 4)
+    ids = list(range(sum(len(labels) for labels, _ in pieces)))
+    rng.shuffle(ids)
+    labels, edges, blocks = [0] * len(ids), [], []
+    for piece_labels, piece_edges in pieces:
+        block, ids = ids[: len(piece_labels)], ids[len(piece_labels) :]
+        for v, m in zip(block, piece_labels):
+            labels[v] = m
+        edges += [(block[i], block[j]) for i, j in piece_edges]
+        blocks.append(block)
+    for b1, b2 in itertools.combinations(blocks, 2):
+        edges += [(u, v) for u in b1 for v in b2]
+    return VertexGraph.build(labels, edges)
+
+
+def check_against_recomputed_isos(rng, graph, samples):
+    """d.isos, permute_factors and gp_pipeline_qm against the recomputing
+    oracles, on random elements of the graph product."""
+    d = join_decompose(graph)
+    assert d.isos == recomputed_isos(d)
+    xs = [
+        normal_form(graph, random_raw(rng, graph, rng.randrange(0, 8)))
+        for _ in range(samples)
+    ]
+    n = len(d.factors)
+    sigmas = [list(range(n)), rng.sample(range(n), n)]
+    within = list(range(n))
+    for cls in d.iso_classes:
+        for i, j in zip(cls, rng.sample(cls, len(cls))):
+            within[i] = j
+    sigmas.append(within)
+    for sigma in sigmas:
+        for x in xs:
+            assert outcome(permute_factors, x, d, sigma) == outcome(
+                recomputing_permute_factors, x, d, sigma
+            )
+    base = graph.induced(d.factors[0]) if d.factors else None
+    free = base is not None and not base.edges and not any(base.labels)
+    for k in range(1, n + 1):
+        if free:
+            rank = len(base.vertices)
+            f = brooks_homogeneous(random_reduced_word(rng, rank, rng.randrange(1, 4)))
+        else:
+            f = zero(FreeGroupDomain(2))
+        isos = outcome(pipeline_isos, graph, d, k)
+        qm = outcome(gp_pipeline_qm, graph, d, f, k)
+        if isinstance(isos, str):
+            assert qm == isos
+            continue
+        for x in xs:
+            assert qm(x) == (pipeline_value(d, f, isos, x) if free else 0)
+
+
+class TestCompatibleIsomorphisms:
+    def test_decomposition_is_hashable(self):
+        d = join_decompose(PIPE)
+        assert d.isos == ((1, 2), (1, 2))
+        assert hash(d) == hash(join_decompose(PIPE))
+        assert len({d, join_decompose(PIPE), join_decompose(C4)}) == 2
+
+    def test_all_small_graphs(self):
+        rng = random.Random(37)
+        graphs = itertools.chain(all_graphs(5, (0,)), all_graphs(4, (0, 2)))
+        for graph in graphs:
+            check_against_recomputed_isos(rng, graph, 2)
+
+    def test_random_joins(self):
+        rng = random.Random(47)
+        for _ in range(150):
+            check_against_recomputed_isos(rng, random_join(rng), 6)
 
 
 def frontier_elements(graph, max_len):

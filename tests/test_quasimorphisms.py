@@ -26,9 +26,11 @@ from autqm.words import (
     conjugate,
     identity,
     invert,
+    multiply,
     power,
     random_reduced_word,
     reduce,
+    substitute,
 )
 
 
@@ -177,7 +179,34 @@ class TestDefect:
         assert cert.value == 12
 
 
+def push(images, g, rank):
+    """The substitution pullback used before words.substitute: one
+    multiply per letter of g."""
+    out = Word(rank, ())
+    for l in g.letters:
+        piece = images[abs(l) - 1]
+        out = multiply(out, piece if l > 0 else invert(piece))
+    return out
+
+
 class TestPullback:
+    def test_substitution_matches_push_oracle(self):
+        rng = random.Random(41)
+        for _ in range(400):
+            source, target = rng.randrange(1, 5), rng.randrange(1, 5)
+            images = [
+                random_reduced_word(rng, target, rng.randrange(0, 5))
+                for _ in range(source)
+            ]
+            pattern = random_reduced_word(rng, target, rng.randrange(1, 4))
+            f = rng.choice([brooks, brooks_homogeneous])(pattern)
+            p = pullback(f, images)
+            for _ in range(5):
+                g = random_reduced_word(rng, source, rng.randrange(0, 12))
+                pushed = push(images, g, target)
+                assert substitute(images, g, target) == pushed
+                assert p(g) == f(pushed)
+
     def test_identity_pullback(self):
         rng = random.Random(9)
         f = brooks_homogeneous(AB)

@@ -7,6 +7,7 @@ from autqm.words import (
     CyclicWord,
     Word,
     breadth_first,
+    components,
     conjugate,
     cyclic_reduce,
     enumerate_reduced_words,
@@ -352,3 +353,62 @@ class TestBreadthFirst:
             for d in set(depths) - {0}:
                 parents = [p for _, p, _, pd in found if pd == d]
                 assert parents == sorted(parents, key=key)
+
+
+def union_find_components(vertices, edges):
+    """Component sets by union-find, in order of their first vertex."""
+    parent = {v: v for v in vertices}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in edges:
+        parent[root(u)] = root(v)
+    groups = {}
+    for v in vertices:
+        groups.setdefault(root(v), []).append(v)
+    return [set(g) for g in groups.values()]
+
+
+class TestComponents:
+    def test_small_graph(self):
+        adjacency = {3: [1], 1: [3, 4], 4: [1], 0: [], 2: [5], 5: [2]}
+        assert components([3, 0, 5, 1, 2, 4], adjacency.__getitem__) == [
+            [3, 1, 4],
+            [0],
+            [5, 2],
+        ]
+
+    def test_matches_union_find_oracle(self):
+        rng = random.Random(43)
+        for _ in range(500):
+            n = rng.randrange(0, 12)
+            vertices = list(range(n))
+            rng.shuffle(vertices)
+            edges = [
+                (u, v)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < rng.choice([0.05, 0.15, 0.4])
+            ]
+            adjacency = {v: [] for v in vertices}
+            for u, v in edges:
+                adjacency[u].append(v)
+                adjacency[v].append(u)
+            found = components(vertices, adjacency.__getitem__)
+            assert [set(c) for c in found] == union_find_components(vertices, edges)
+            # Each component starts at its first vertex and lists every
+            # vertex once, in breadth-first order: distances never fall.
+            position = {v: i for i, v in enumerate(vertices)}
+            for c in found:
+                assert c[0] == min(c, key=position.__getitem__)
+                assert len(c) == len(set(c))
+                distance = {c[0]: 0}
+                for _ in c:
+                    for a, b in edges + [(v, u) for u, v in edges]:
+                        if a in distance and distance.get(b, n) > distance[a] + 1:
+                            distance[b] = distance[a] + 1
+                depths = [distance[v] for v in c]
+                assert depths == sorted(depths)
