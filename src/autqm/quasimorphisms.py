@@ -9,6 +9,7 @@ can rebuild it bit-identically.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -496,11 +497,17 @@ def build_quasimorphism(provenance) -> Quasimorphism:
         return product_average(build_quasimorphism(sub), k, n)
     if kind == "linear_combination":
         _, pairs = provenance
+        # Fraction("1e10000000") takes seconds; the library writes p or p/q.
+        for c, _ in pairs:
+            if isinstance(c, str) and not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", c):
+                raise ValueError(f"coefficient {c!r} is not of the form p or p/q")
         return linear_combination(
             [(Fraction(c), build_quasimorphism(sub)) for c, sub in pairs]
         )
     if kind == "zero":
         desc = provenance[1]
+        if any(isinstance(n, bool) or not isinstance(n, int) or n < 1 for n in desc[1:]):
+            raise ValueError(f"the sizes of a domain must be integers >= 1: {desc!r}")
         if desc[0] == "free":
             return zero(FreeGroupDomain(desc[1]))
         if desc[0] == "product":

@@ -4,8 +4,10 @@ The toolkit here is classical: Whitehead automorphisms, greedy length
 descent to an orbit-minimal cyclic word (the peak-reduction fact,
 cross-checked in the test suite against brute-force orbit enumeration at
 small lengths), Whitehead graphs, and the two predicates built on them.
-The descent runs over the moves of the second kind only: a move of the
-first kind is a signed permutation, which never changes cyclic length.
+The descent runs over the moves of the second kind only (a move of the
+first kind is a signed permutation, which never changes cyclic length).
+Their images are built once per rank from the defining formula; the
+automorphism of a move, with its witness, only when the descent picks it.
 Free-factor membership rests on Whitehead's cut-vertex lemma (Ann. of
 Math. 1936; Stallings, "Whitehead graphs on handlebodies", 1999): a word
 in a proper free factor has a disconnected Whitehead graph or one with a
@@ -16,81 +18,59 @@ free factor iff its Whitehead graph is disconnected.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional
 
-from .automorphisms import (
-    Automorphism,
-    apply,
-    compose_all,
-    elementary,
-    inverse,
-)
+from .automorphisms import Automorphism, compose_all, elementary, inverse
 from .words import (
-    CyclicWord, Word, components, cyclic_reduce, letter_key, signed_letters
+    Word, components, cyclic_reduce, letter_key, signed_letters, substitute
 )
 
 
-def type_two_autos(rank: int) -> list[Automorphism]:
-    """Whitehead automorphisms of the second kind.
+@functools.cache
+def _type_two_moves(rank: int) -> tuple[tuple[int, frozenset[int]], ...]:
+    """Whitehead moves of the second kind as keys (a, Y - {a}).
 
-    For a multiplier letter a and a cut set Y containing a but not a^-1,
-    the automorphism fixes a and sends every other generator x to
-    a^{-[x^-1 in Y]} * x * a^{[x in Y]}.  Each is assembled from letter
-    transvections, so it carries a replayable witness and valid inverse
-    images by construction.  Y = {a} gives the identity, once per
-    multiplier; it never shortens a word, so the descent never picks it.
+    The multiplier a is a signed letter; the cut set Y contains a but not
+    a^-1.  The order (by multiplier, then cut set) fixes the descent's
+    tie-break.  Y = {a} is the identity, once per multiplier; it never
+    shortens a word, so the descent never picks it.
     """
     letters = signed_letters(rank)
-    autos = []
+    moves = []
     for a in letters:
-        others = [x for x in range(1, rank + 1) if x != abs(a)]
         rest = [l for l in letters if abs(l) != abs(a)]
         for member in itertools.product((False, True), repeat=len(rest)):
-            pieces = []
-            chosen = {l for l, m in zip(rest, member) if m}
-            for x in others:
-                if x in chosen:
-                    pieces.append(_right_mult(a, x, rank))
-                if -x in chosen:
-                    pieces.append(_left_mult(a, x, rank))
-            autos.append(compose_all(pieces, rank))
-    return autos
+            moves.append((a, frozenset(l for l, m in zip(rest, member) if m)))
+    return tuple(moves)
 
 
-def _right_mult(a: int, x: int, rank: int) -> Automorphism:
-    # x -> x * a for a signed letter a with |a| != x.
-    base = elementary("transvection", (abs(a), x, "right"), rank)
-    return base if a > 0 else inverse(base)
+@functools.cache
+def _type_two_images(rank: int) -> tuple[tuple[Word, ...], ...]:
+    """Basis images of each move of _type_two_moves(rank), by definition.
+
+    The move (a, Y) fixes a and sends every other generator x to
+    a^{-[x^-1 in Y]} * x * a^{[x in Y]}.  No witness or inverse is kept:
+    the descent builds those only for the move it chooses.
+    """
+    gens = range(1, rank + 1)
+    return tuple(
+        tuple(Word(rank, (-a,) * (-x in cut) + (x,) + (a,) * (x in cut)) for x in gens)
+        for a, cut in _type_two_moves(rank)
+    )
 
 
-def _left_mult(a: int, x: int, rank: int) -> Automorphism:
-    # x -> a^-1 * x for a signed letter a with |a| != x.
-    base = elementary("transvection", (abs(a), x, "left"), rank)
-    return inverse(base) if a > 0 else base
-
-
-def _cyclic_image(phi: Automorphism, c: CyclicWord) -> CyclicWord:
-    return cyclic_reduce(apply(phi, c.as_word()))[0]
-
-
-def _descend(autos: list[Automorphism], w: Word) -> tuple[CyclicWord, list]:
-    # Steepest descent through the table autos; the least index wins ties.
-    current = cyclic_reduce(w)[0]
-    trace: list[tuple[Automorphism, Word]] = []
-    while len(current) > 0:
-        best: Optional[tuple[int, int, CyclicWord]] = None
-        for idx, phi in enumerate(autos):
-            image = _cyclic_image(phi, current)
-            if len(image) < len(current) and (best is None or len(image) < best[0]):
-                best = (len(image), idx, image)
-        if best is None:
-            break
-        _, idx, image = best
-        trace.append((autos[idx], image.as_word()))
-        current = image
-    return current, trace
+def _type_two_auto(rank: int, a: int, cut: frozenset[int]) -> Automorphism:
+    # The move (a, cut) as letter transvections, x -> x * a for x in cut and
+    # x -> a^-1 * x for x^-1 in cut, so it carries a replayable witness.
+    pieces = []
+    for x in range(1, rank + 1):
+        for side, member in (("right", x in cut), ("left", -x in cut)):
+            if member:
+                base = elementary("transvection", (abs(a), x, side), rank)
+                pieces.append(base if (a > 0) == (side == "right") else inverse(base))
+    return compose_all(pieces, rank)
 
 
 def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
@@ -98,10 +78,23 @@ def minimize(w: Word) -> tuple[Word, list[tuple[Automorphism, Word]]]:
 
     Returns the canonical minimal cyclic word (as a Word) together with
     the trace of moves: pairs (automorphism, resulting cyclic word), which
-    replay the descent from w's conjugacy class.
+    replay the descent from w's conjugacy class.  Each step takes the move
+    that shortens the word most; the least index wins ties (strict <).
     """
-    current, trace = _descend(type_two_autos(w.rank), w)
-    return current.as_word(), trace
+    rank = w.rank
+    current = cyclic_reduce(w)[0]
+    trace: list[tuple[Automorphism, Word]] = []
+    while True:
+        word, best, chosen = current.as_word(), current, None
+        for idx, images in enumerate(_type_two_images(rank)):
+            image = cyclic_reduce(substitute(images, word, rank))[0]
+            if len(image) < len(best):
+                best, chosen = image, idx
+        if chosen is None:
+            return current.as_word(), trace
+        current = best
+        move = _type_two_auto(rank, *_type_two_moves(rank)[chosen])
+        trace.append((move, current.as_word()))
 
 
 def is_primitive(w: Word) -> bool:

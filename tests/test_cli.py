@@ -445,6 +445,8 @@ def nested_pullbacks(depth):
         ["finite_average", ["zero", ["product", 2, 2]], []],
         ["linear_combination", [["1/0", ["zero", ["free", 2]]]]],
         ["zero", ["free", "x"]],
+        ["zero", ["free", None]],
+        ["linear_combination", [["1e10000000", ["zero", ["free", 2]]]]],
         "[" * 100_000,
         nested_pullbacks(500),
         nested_pullbacks(350),
@@ -464,6 +466,8 @@ def nested_pullbacks(depth):
         "average-of-product",
         "zero-denominator",
         "zero-string-rank",
+        "zero-null-rank",
+        "exponent-coefficient",
         "deep-json",
         "deep-decode",
         "deep-evaluation",

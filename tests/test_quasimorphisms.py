@@ -365,6 +365,27 @@ class TestSerialization:
         rebuilt = build_quasimorphism(f.provenance)
         assert rebuilt(AB) == f(AB)
 
+    def test_coefficient_forms(self):
+        # Integers and signed "p" or "p/q" strings; the library writes these.
+        sub = brooks(AB).provenance
+        f = build_quasimorphism(("linear_combination", ((3, sub), ("-1/2", sub), ("+2", sub))))
+        assert f(AB) == Fraction(9, 2) * brooks(AB)(AB)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("linear_combination", (("1.5", ("zero", ("free", 2))),)),
+            ("linear_combination", (("1e3", ("zero", ("free", 2))),)),
+            ("zero", ("free", 0)),
+            ("zero", ("free", True)),
+            ("zero", ("product", 0, 2)),
+            ("zero", ("product", 2, "3")),
+        ],
+    )
+    def test_rejects_bad_coefficients_and_sizes(self, spec):
+        with pytest.raises(ValueError):
+            build_quasimorphism(spec)
+
 
 class TestExactness:
     def test_values_are_fractions(self):

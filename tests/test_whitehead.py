@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -7,21 +8,21 @@ import pytest
 
 from autqm.automorphisms import (
     apply,
+    compose_all,
+    elementary,
     elementary_automorphisms,
     equal,
     identity_automorphism,
+    inverse,
     random_composite,
     signed_permutations,
 )
 from autqm import whitehead
 from autqm.cli import parse_word
 from autqm.whitehead import (
-    _cyclic_image,
-    _descend,
     in_proper_free_factor,
     is_primitive,
     minimize,
-    type_two_autos,
     whitehead_graph,
 )
 from autqm.words import (
@@ -34,6 +35,7 @@ from autqm.words import (
     enumerate_reduced_words,
     random_reduced_word,
     reduce,
+    signed_letters,
 )
 
 
@@ -63,6 +65,68 @@ def orbit_min_length_oracle(word, slack=3):
             best = min(best, len(image))
             queue.append(image)
     return best
+
+
+@functools.cache
+def type_two_autos(rank):
+    """Whitehead automorphisms of the second kind, composed and validated.
+
+    For a multiplier letter a and a cut set Y containing a but not a^-1,
+    the automorphism fixes a and sends every other generator x to
+    a^{-[x^-1 in Y]} * x * a^{[x in Y]}.  Each is assembled from letter
+    transvections and checked by the Automorphism round trip; the move
+    table in src/ is built from the formula and must agree, in order.
+    """
+    letters = signed_letters(rank)
+    autos = []
+    for a in letters:
+        others = [x for x in range(1, rank + 1) if x != abs(a)]
+        rest = [l for l in letters if abs(l) != abs(a)]
+        for member in itertools.product((False, True), repeat=len(rest)):
+            pieces = []
+            chosen = {l for l, m in zip(rest, member) if m}
+            for x in others:
+                if x in chosen:
+                    pieces.append(_right_mult(a, x, rank))
+                if -x in chosen:
+                    pieces.append(_left_mult(a, x, rank))
+            autos.append(compose_all(pieces, rank))
+    return autos
+
+
+def _right_mult(a, x, rank):
+    # x -> x * a for a signed letter a with |a| != x.
+    base = elementary("transvection", (abs(a), x, "right"), rank)
+    return base if a > 0 else inverse(base)
+
+
+def _left_mult(a, x, rank):
+    # x -> a^-1 * x for a signed letter a with |a| != x.
+    base = elementary("transvection", (abs(a), x, "left"), rank)
+    return inverse(base) if a > 0 else base
+
+
+def _cyclic_image(phi, c):
+    return cyclic_reduce(apply(phi, c.as_word()))[0]
+
+
+def _descend(autos, w):
+    """Steepest descent that applies every Automorphism of autos to the
+    current word at each step; the least index wins ties."""
+    current = cyclic_reduce(w)[0]
+    trace = []
+    while len(current) > 0:
+        best = None
+        for idx, phi in enumerate(autos):
+            image = _cyclic_image(phi, current)
+            if len(image) < len(current) and (best is None or len(image) < best[0]):
+                best = (len(image), idx, image)
+        if best is None:
+            break
+        _, idx, image = best
+        trace.append((autos[idx], image.as_word()))
+        current = image
+    return current, trace
 
 
 @functools.cache
@@ -165,13 +229,38 @@ class TestWhiteheadAutos:
         assert len(type_two_autos(2)) == 4 * 4
         assert len(type_two_autos(3)) == 6 * 16
 
-    def test_descent_matches_full_table(self, monkeypatch):
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_move_table_matches_oracle(self, rank):
+        # The images come from the defining formula, the oracle from
+        # validated compositions: same moves in the same order.
+        oracle = type_two_autos(rank)
+        assert list(whitehead._type_two_images(rank)) == [
+            phi.images for phi in oracle
+        ]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_chosen_move_matches_oracle(self, rank):
+        # The automorphism built for a chosen move is the oracle's entry at
+        # the same index, witness and inverse images included.
+        oracle = type_two_autos(rank)
+        moves = whitehead._type_two_moves(rank)
+        assert len(moves) == len(oracle)
+        for key, expected in zip(moves, oracle):
+            phi = whitehead._type_two_auto(rank, *key)
+            assert phi.images == expected.images, key
+            assert phi.inverse_images == expected.inverse_images, key
+            assert phi.witness == expected.witness, key
+
+    def test_table_built_once_per_rank(self):
+        whitehead._type_two_images.cache_clear()
+        for letters in ([1, 2, 2], [1, -2, 3, 3], [3, 1, 2, -1]):
+            minimize(w(letters, rank=3))
+        info = whitehead._type_two_images.cache_info()
+        assert info.misses == 1 and info.hits >= 2
+
+    def test_descent_matches_full_table(self):
         # Skipping type I must not move a trace: same moves, witnesses and
-        # results as the descent over the full deduplicated table.  minimize
-        # rebuilds its table on every call; caching it here only saves time.
-        monkeypatch.setattr(
-            whitehead, "type_two_autos", functools.cache(type_two_autos)
-        )
+        # results as the descent over the full deduplicated table.
 
         def moves(trace):
             return [(phi.images, phi.witness, result) for phi, result in trace]
