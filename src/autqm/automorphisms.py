@@ -349,17 +349,23 @@ def random_composite(rng, rank: int, depth: int) -> Automorphism:
 
 
 def is_finite_group(autos: Sequence[Automorphism]) -> bool:
-    """True iff the list is a group under composition (with inverses)."""
+    """True iff the list is a group under composition (with inverses).
+
+    Works on the image tables: every Automorphism is already validated,
+    so the products need no round-trip check.
+    """
     if not autos:
         return False
     rank = autos[0].rank
+    if any(a.rank != rank for a in autos):
+        raise ValueError("automorphisms of different ranks")
     table = {a.images for a in autos}
     if identity_automorphism(rank).images not in table:
         return False
     for a in autos:
-        if inverse(a).images not in table:
+        if a.inverse_images not in table:
             return False
         for b in autos:
-            if compose(a, b).images not in table:
+            if tuple(substitute(a.images, w, rank) for w in b.images) not in table:
                 return False
     return True

@@ -10,9 +10,12 @@ duality bounds derived from invariant quasimorphisms.
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional, Sequence
 
 from .automorphisms import (
     Automorphism,
@@ -89,14 +92,13 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
     gens = sorted({s for s in gens if s}, key=Word.key)
+    rank = g.rank
+    if any(s.rank != rank for s in gens):
+        raise ValueError("generating set and target must share a rank")
     if not g:
         return NormResult("exact", 0, cutoff, ())
     if not gens:
         return NormResult("infinite", None, cutoff, None)
-    rank = g.rank
-    for s in gens:
-        if s.rank != rank:
-            raise ValueError("generating set and target must share a rank")
 
     df, fparent, exhausted = _ball(identity(rank), gens, (cutoff + 1) // 2, multiply)
     db, bparent, _ = _ball(
@@ -168,48 +170,110 @@ def _root_powers(g: Word) -> list[Word]:
     return out
 
 
+@functools.cache
+def _autocommutator_base(
+    rank: int, pool_depth: int, elem_len: int
+) -> tuple[tuple[Automorphism, ...], tuple[Word, ...], Mapping, tuple[Word, ...]]:
+    """The part of the autocommutator pool that does not depend on the target.
+
+    Returns the automorphisms (composites of elementary automorphisms up
+    to pool_depth, then inner automorphisms by short words), the short
+    words, the autocommutator values of those pairs keyed by word (the
+    first automorphism, then the first word, wins), read-only, and the
+    values sorted by Word.key.  Built once per parameter set.
+    """
+    shorts = tuple(u for u in enumerate_reduced_words(rank, elem_len) if u)
+    autos = tuple(composite_pool(rank, pool_depth)) + tuple(ad(u) for u in shorts)
+    pool: dict[Word, tuple[Automorphism, Word]] = {}
+    for phi in autos:
+        for h in shorts:
+            value = autocommutator(phi, h)
+            if value and value not in pool:
+                pool[value] = (phi, h)
+    return autos, shorts, MappingProxyType(pool), tuple(sorted(pool, key=Word.key))
+
+
 def _autocommutator_pool(
     g: Word, pool_depth: int, elem_len: int
-) -> dict[Word, tuple[Automorphism, Word]]:
-    """Candidate autocommutator values keyed by word, canonical first wins.
+) -> tuple[dict[Word, tuple[Automorphism, Word]], list[Word]]:
+    """Candidate autocommutator values keyed by word, and their Word.key order.
 
     The pool combines composites of elementary automorphisms up to
     pool_depth, inner automorphisms by short words, and transvections by
     conjugated root powers of the target (the shapes single-factor
     witnesses actually take).  Element candidates are short words plus
-    those same root powers.
+    those same root powers.  A value keeps the first (automorphism,
+    element) pair in that order; only the pairs with a root power are
+    computed here, on top of the cached _autocommutator_base.
     """
     rank = g.rank
-    autos: list[Automorphism] = list(composite_pool(rank, pool_depth))
-    shorts = [u for u in enumerate_reduced_words(rank, elem_len) if u]
-    autos.extend(ad(u) for u in shorts)
+    autos, shorts, base, base_order = _autocommutator_base(rank, pool_depth, elem_len)
     roots = _root_powers(g)
+    extra = tuple(r for r in roots if r not in shorts)
+    pool = base.copy()
+    added: list[Word] = []
+    position = {id(phi): i for i, phi in enumerate(autos)}
+    for i, phi in enumerate(autos):
+        for h in extra:
+            value = autocommutator(phi, h)
+            if not value:
+                continue
+            held = pool.get(value)
+            if held is None:
+                added.append(value)
+            elif position[id(held[0])] <= i:
+                continue
+            pool[value] = (phi, h)
+    # Root powers share g's support, so these transvections fix them and
+    # only the short words can give a value.
     for u in roots:
         for x in range(1, rank + 1):
             if x not in u.support():
-                autos.append(word_transvection(u, x))
-    candidates = [identity(rank)] + shorts + [r for r in roots if r not in shorts]
-    pool: dict[Word, tuple[Automorphism, Word]] = {}
-    for phi in autos:
-        for h in candidates:
-            value = autocommutator(phi, h)
+                phi = word_transvection(u, x)
+                for h in shorts:
+                    value = autocommutator(phi, h)
+                    if value and value not in pool:
+                        pool[value] = (phi, h)
+                        added.append(value)
+    # Splice the new values into the cached order instead of re-sorting it.
+    order: list[Word] = []
+    start = 0
+    for value in sorted(added, key=Word.key):
+        cut = bisect.bisect_left(base_order, value.key(), start, key=Word.key)
+        order.extend(base_order[start:cut])
+        order.append(value)
+        start = cut
+    order.extend(base_order[start:])
+    return pool, order
+
+
+@functools.cache
+def _commutator_pool(rank: int, len_cap: int) -> tuple[Mapping, tuple[Word, ...]]:
+    """Commutators [u, v] of words up to len_cap keyed by value (first pair
+    wins), read-only, and the values sorted by Word.key.  Built once per
+    parameter set."""
+    pool: dict[Word, tuple[Word, Word]] = {}
+    shorts = list(enumerate_reduced_words(rank, len_cap))
+    for u in shorts:
+        for v in shorts:
+            value = multiply(multiply(u, v), multiply(invert(u), invert(v)))
             if value and value not in pool:
-                pool[value] = (phi, h)
-    return pool
+                pool[value] = (u, v)
+    return MappingProxyType(pool), tuple(sorted(pool, key=Word.key))
 
 
 def _product_search(
-    pool: dict[Word, tuple], g: Word, k_max: int, kind: str
+    pool: Mapping[Word, tuple], order: Sequence[Word], g: Word, k_max: int, kind: str
 ) -> NormResult:
     """Least k <= k_max with g a product of k pool values.
 
-    k = 1 and 2 search the whole pool; deeper levels draw the leading
-    factors from a bounded subpool (shortest values first), which keeps
-    the upper-bound semantics while staying desk-sized.
+    order lists the pool's values by Word.key.  k = 1 and 2 search the
+    whole pool; deeper levels draw the leading factors from a bounded
+    subpool (shortest values first), which keeps the upper-bound
+    semantics while staying desk-sized.
     """
     if not g:
         return NormResult("exact", 0, k_max, ())
-    order = sorted(pool, key=Word.key)
     sub = order[:_SUBPOOL_SIZE]
     for k in range(1, k_max + 1):
         found = _peel(pool, order if k <= 2 else sub, g, k)
@@ -221,8 +285,8 @@ def _product_search(
 
 
 def _peel(
-    pool: dict[Word, tuple],
-    sub: list[Word],
+    pool: Mapping[Word, tuple],
+    sub: Sequence[Word],
     g: Word,
     k: int,
 ) -> Optional[tuple[Word, ...]]:
@@ -249,8 +313,8 @@ def acl_upper(
         raise ValueError("search parameters must be positive")
     if not g:
         return NormResult("exact", 0, k_max, ())
-    pool = _autocommutator_pool(g, pool_depth, elem_len)
-    return _product_search(pool, g, k_max, "autocommutator")
+    pool, order = _autocommutator_pool(g, pool_depth, elem_len)
+    return _product_search(pool, order, g, k_max, "autocommutator")
 
 
 def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
@@ -259,14 +323,8 @@ def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
         raise ValueError("search parameters must be positive")
     if not g:
         return NormResult("exact", 0, k_max, ())
-    pool: dict[Word, tuple] = {}
-    shorts = list(enumerate_reduced_words(g.rank, len_cap))
-    for u in shorts:
-        for v in shorts:
-            value = multiply(multiply(u, v), multiply(invert(u), invert(v)))
-            if value and value not in pool:
-                pool[value] = (u, v)
-    return _product_search(pool, g, k_max, "commutator")
+    pool, order = _commutator_pool(g.rank, len_cap)
+    return _product_search(pool, order, g, k_max, "commutator")
 
 
 def transvection_witness(g: Word, x_index: int, n: int) -> tuple[Automorphism, Word]:

@@ -272,6 +272,24 @@ def frontier_composite_pool(rank, depth):
     return pool
 
 
+def oracle_is_finite_group(autos):
+    """The group check before it worked on image tables: it built the
+    inverse and every product as a validated Automorphism."""
+    if not autos:
+        return False
+    rank = autos[0].rank
+    table = {a.images for a in autos}
+    if identity_automorphism(rank).images not in table:
+        return False
+    for a in autos:
+        if inverse(a).images not in table:
+            return False
+        for b in autos:
+            if compose(a, b).images not in table:
+                return False
+    return True
+
+
 class TestPools:
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -299,6 +317,28 @@ class TestPools:
         assert len({a.images for a in signed}) == 8
         assert is_finite_group(signed)
         assert not is_finite_group([SWAP])
+
+    def test_is_finite_group_matches_oracle(self):
+        # Groups, groups with one element dropped, a group with a
+        # transvection added, and lists with a duplicate element.
+        groups = [signed_permutations(r) for r in (1, 2, 3)]
+        groups += [[identity_automorphism(2)], [identity_automorphism(2), SWAP]]
+        cases = [(g, True) for g in groups]
+        for group in groups:
+            for i in range(0, len(group), 5):
+                cases.append((group[:i] + group[i + 1 :], False))
+            cases.append((group + [group[-1]], True))
+        for rank in (2, 3):
+            extra = elementary("transvection", (1, 2, "left"), rank)
+            cases.append((signed_permutations(rank) + [extra], False))
+        cases.append(([SWAP, SWAP], False))
+        for autos, expected in cases:
+            assert oracle_is_finite_group(autos) == expected
+            assert is_finite_group(autos) == expected
+
+    def test_is_finite_group_rejects_mixed_ranks(self):
+        with pytest.raises(ValueError):
+            is_finite_group([identity_automorphism(2), identity_automorphism(3)])
 
     def test_constructed_autos_satisfy_round_trip(self):
         rng = random.Random(41)

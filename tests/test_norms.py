@@ -4,15 +4,23 @@ from fractions import Fraction
 import pytest
 
 from autqm.automorphisms import (
+    Automorphism,
+    ad,
     apply,
     autocommutator,
+    composite_pool,
     elementary,
     equal,
     identity_automorphism,
     signed_permutations,
+    word_transvection,
 )
 from autqm.norms import (
+    _autocommutator_base,
+    _autocommutator_pool,
     _ball,
+    _commutator_pool,
+    _root_powers,
     acl_upper,
     bfs_norm,
     cl_upper,
@@ -25,6 +33,7 @@ from autqm.norms import (
 from autqm.quasimorphisms import brooks_homogeneous, finite_average
 from autqm.words import (
     Word,
+    enumerate_reduced_words,
     identity,
     invert,
     multiply,
@@ -117,6 +126,13 @@ class TestBfsNorm:
             nh = bfs_norm(h, LETTERS, 10)
             ngh = bfs_norm(multiply(g, h), LETTERS, 10)
             assert ngh.value <= ng.value + nh.value
+
+    def test_rank_mismatch_is_rejected(self):
+        # The identity target is checked too, not answered before the check.
+        for g in (identity(2), w([1])):
+            for gens in ([Word(3, (1,))], [w([1]), Word(3, (1,))]):
+                with pytest.raises(ValueError, match="share a rank"):
+                    bfs_norm(g, gens, 3)
 
     def test_orbit_norm_is_group_invariant(self):
         rng = random.Random(9)
@@ -221,6 +237,151 @@ class TestAclUpper:
             for f in result.witness:
                 _, phi, h = f.provenance
                 assert autocommutator(phi, h) == f.value
+
+
+def oracle_autocommutator_pool(g, pool_depth, elem_len):
+    """The pool loop acl_upper ran on every call before the
+    target-independent part was cached."""
+    rank = g.rank
+    autos = list(composite_pool(rank, pool_depth))
+    shorts = [u for u in enumerate_reduced_words(rank, elem_len) if u]
+    autos.extend(ad(u) for u in shorts)
+    roots = _root_powers(g)
+    for u in roots:
+        for x in range(1, rank + 1):
+            if x not in u.support():
+                autos.append(word_transvection(u, x))
+    candidates = [identity(rank)] + shorts + [r for r in roots if r not in shorts]
+    pool = {}
+    for phi in autos:
+        for h in candidates:
+            value = autocommutator(phi, h)
+            if value and value not in pool:
+                pool[value] = (phi, h)
+    return pool
+
+
+def oracle_commutator_pool(rank, len_cap):
+    """The pool loop cl_upper ran on every call before it was cached."""
+    pool = {}
+    shorts = list(enumerate_reduced_words(rank, len_cap))
+    for u in shorts:
+        for v in shorts:
+            value = multiply(multiply(u, v), multiply(invert(u), invert(v)))
+            if value and value not in pool:
+                pool[value] = (u, v)
+    return pool
+
+
+def provenance(entry):
+    """A pool entry with each automorphism spelled out in full."""
+    return tuple(
+        (x.images, x.inverse_images, x.witness) if isinstance(x, Automorphism) else x
+        for x in entry
+    )
+
+
+def pool_cases():
+    """(target, pool_depth, elem_len): ranks 1-3, proper powers, and
+    targets whose root powers are short words."""
+    rng = random.Random(43)
+    cases = [
+        (w([1], rank=1), 1, 3),
+        (power(w([1], rank=1), 3), 1, 3),
+        (power(w([1], rank=1), -2), 2, 2),
+        (power(w([1], rank=1), 5), 1, 2),
+        (w([1]), 1, 3),
+        (w([2, 1, -2]), 1, 3),
+        (power(AB, 2), 1, 3),
+        (power(COMM, 2), 1, 3),
+        (w([2, 1, 1, 2, 1, 1, -2]), 1, 3),
+        (power(w([1, -2, -2]), 3), 2, 2),
+        (w([1, 2, 1]), 2, 2),
+        (power(AB, 2), 1, 2),
+        (w([1, 2], rank=3), 1, 3),
+        (power(w([1, 3, -2], rank=3), 2), 1, 3),
+        (w([3], rank=3), 2, 2),
+        (power(w([2, -3], rank=3), 3), 2, 2),
+        (power(w([1, 2], rank=3), 2), 1, 2),
+    ]
+    for rank, pool_depth, elem_len in ((2, 1, 3), (2, 2, 2), (3, 1, 2)):
+        for _ in range(6):
+            g = random_reduced_word(rng, rank, rng.randrange(1, 5))
+            cases.append((power(g, rng.choice([1, 2, 3])), pool_depth, elem_len))
+    return cases
+
+
+class TestPoolOracles:
+    def test_autocommutator_pool_matches_oracle(self):
+        replaced = 0
+        for g, pool_depth, elem_len in pool_cases():
+            pool, order = _autocommutator_pool(g, pool_depth, elem_len)
+            oracle = oracle_autocommutator_pool(g, pool_depth, elem_len)
+            assert pool.keys() == oracle.keys()
+            assert {v: provenance(e) for v, e in pool.items()} == {
+                v: provenance(e) for v, e in oracle.items()
+            }
+            assert order == sorted(oracle, key=Word.key)
+            base = _autocommutator_base(g.rank, pool_depth, elem_len)[2]
+            replaced += sum(v in base and pool[v] != base[v] for v in pool)
+        # Some root-power pairs beat a cached pair to the same value, so
+        # the first-wins rule across the two parts is exercised.
+        assert replaced > 0
+
+    def test_cases_cover_proper_powers_and_short_roots(self):
+        cases = pool_cases()
+        assert {g.rank for g, _, _ in cases} == {1, 2, 3}
+        assert any(
+            _root_powers(g)
+            and set(_root_powers(g)) <= set(enumerate_reduced_words(g.rank, e))
+            for g, _, e in cases
+        )
+        for rank in (1, 2, 3):
+            assert any(
+                g.rank == rank and len(_root_powers(g)) >= 4 for g, _, _ in cases
+            )
+
+    @pytest.mark.parametrize("rank, len_cap", [(1, 3), (2, 1), (2, 3), (3, 2)])
+    def test_commutator_pool_matches_oracle(self, rank, len_cap):
+        pool, order = _commutator_pool(rank, len_cap)
+        oracle = oracle_commutator_pool(rank, len_cap)
+        assert pool == oracle
+        assert list(order) == sorted(oracle, key=Word.key)
+
+
+def canonical(result):
+    """A NormResult with every automorphism in its witness spelled out."""
+    witness = result.witness
+    if witness is not None:
+        witness = tuple((f.value, provenance(f.provenance)) for f in witness)
+    return (result.status, result.value, result.cutoff, witness)
+
+
+class TestPoolCaches:
+    def test_results_do_not_depend_on_cache_state(self):
+        rng = random.Random(47)
+        words = [w([1]), COMM, power(AB, 2), w([1, 3, -2], rank=3)]
+        words += [random_reduced_word(rng, 2, rng.randrange(2, 7)) for _ in range(4)]
+        words.append(random_reduced_word(rng, 3, 4))
+
+        def run(g):
+            sacl = sacl_estimate(g, 2)
+            return (
+                canonical(acl_upper(g)),
+                canonical(cl_upper(g, len_cap=2)),
+                sacl.upper,
+                tuple((n, canonical(r)) for n, r in sacl.trace),
+            )
+
+        _autocommutator_base.cache_clear()
+        _commutator_pool.cache_clear()
+        cold = {g: run(g) for g in words}
+        warm = {g: run(g) for g in reversed(words)}
+        assert cold == warm
+        assert _autocommutator_base.cache_info().misses == 2
+        assert _autocommutator_base.cache_info().currsize == 2
+        assert _commutator_pool.cache_info().misses == 2
+        assert _commutator_pool.cache_info().currsize == 2
 
 
 class TestClUpper:
