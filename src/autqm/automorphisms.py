@@ -349,10 +349,12 @@ def random_composite(rng, rank: int, depth: int) -> Automorphism:
 
 
 def is_finite_group(autos: Sequence[Automorphism]) -> bool:
-    """True iff the list is a group under composition (with inverses).
+    """True iff the set of automorphisms listed is a group under composition.
 
-    Works on the image tables: every Automorphism is already validated,
-    so the products need no round-trip check.
+    Dimino's closure (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559) on the image tables: a listed element becomes a
+    generator when the closure lacks it, and the closure grows by the
+    generators until a product falls outside the list.
     """
     if not autos:
         return False
@@ -360,12 +362,25 @@ def is_finite_group(autos: Sequence[Automorphism]) -> bool:
     if any(a.rank != rank for a in autos):
         raise ValueError("automorphisms of different ranks")
     table = {a.images for a in autos}
-    if identity_automorphism(rank).images not in table:
+    closure = {identity_automorphism(rank).images}
+    if not closure <= table:
         return False
+    gens = []
     for a in autos:
-        if a.inverse_images not in table:
-            return False
-        for b in autos:
-            if tuple(substitute(a.images, w, rank) for w in b.images) not in table:
-                return False
-    return True
+        if a.images in closure:
+            continue
+        gens.append(a.images)
+        # The closure so far is closed under the older generators.
+        layer, steps = list(closure), [a.images]
+        while layer:
+            grown = []
+            for x in layer:
+                for s in steps:
+                    y = tuple(substitute(x, w, rank) for w in s)
+                    if y not in closure:
+                        if y not in table:
+                            return False
+                        closure.add(y)
+                        grown.append(y)
+            layer, steps = grown, gens
+    return closure == table

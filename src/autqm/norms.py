@@ -91,10 +91,10 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     """
     if cutoff < 0:
         raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    gens = sorted({s for s in gens if s}, key=Word.key)
     rank = g.rank
     if any(s.rank != rank for s in gens):
         raise ValueError("generating set and target must share a rank")
+    gens = sorted({s for s in gens if s}, key=Word.key)
     if not g:
         return NormResult("exact", 0, cutoff, ())
     if not gens:

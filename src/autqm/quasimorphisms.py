@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .automorphisms import Automorphism, apply, is_finite_group
 from .words import (
     Word,
-    cyclic_reduce,
+    _strip_ends,
     enumerate_reduced,
     enumerate_reduced_words,
     invert,
@@ -106,9 +106,9 @@ class Quasimorphism:
 
 @dataclass(frozen=True)
 class DefectCertificate:
-    """The defect exactly, an attained lower bound for it, or a declared upper."""
+    """The defect exactly, or an attained lower bound for it."""
 
-    bound_type: str  # "exact" | "enumerated-lower" | "declared-upper"
+    bound_type: str  # "exact" | "enumerated-lower"
     value: Fraction
     witness: Optional[tuple] = None
     enumeration_range: Optional[int] = None
@@ -123,20 +123,26 @@ class InvarianceReport:
         return not self.violations
 
 
-def _count(haystack: tuple, needle: tuple) -> int:
-    n = len(needle)
-    if n == 0 or n > len(haystack):
-        return 0
-    return sum(
-        1 for i in range(len(haystack) - n + 1) if haystack[i : i + n] == needle
-    )
+def _table_count(table: dict, m: int, letters: tuple, periodic: bool) -> int:
+    """Sum of table[p] over the length-m windows p of a reduced word.
+
+    With periodic set, the windows start in one period of the bi-infinite
+    word core^infinity, where core is the word with its cancelling ends
+    stripped; rotating the core would not change the sum.
+    """
+    starts = len(letters) - m + 1
+    if periodic:
+        i, j = _strip_ends(letters)
+        starts = j - i
+        letters = letters[i:j] * (2 + m // max(starts, 1))
+    return sum(table.get(letters[k : k + m], 0) for k in range(starts))
 
 
-def _pattern_pair(w: Word) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Letters of a counting pattern and of its inverse."""
+def _pattern_table(w: Word) -> dict:
+    """The counting table {w: 1, w^-1: -1} of a pattern word."""
     if not w:
         raise ValueError("the counting pattern must be nonempty")
-    return w.letters, invert(w).letters
+    return {w.letters: 1, invert(w).letters: -1}
 
 
 def brooks(w: Word) -> Quasimorphism:
@@ -145,29 +151,13 @@ def brooks(w: Word) -> Quasimorphism:
     Counts occurrences of the pattern as a subword of the reduced input
     (overlaps allowed) minus occurrences of the inverse pattern.
     """
-    pattern, anti = _pattern_pair(w)
-
-    def evaluate(g: Word) -> int:
-        return _count(g.letters, pattern) - _count(g.letters, anti)
-
+    table, m = _pattern_table(w), len(w)
     return Quasimorphism(
         domain=FreeGroupDomain(w.rank),
-        evaluate=evaluate,
+        evaluate=lambda g: _table_count(table, m, g.letters, False),
         defect_bound=Fraction(DEFAULT_BOUND_FACTOR * len(w)),
         homogeneous=False,
         provenance=("brooks", w.rank, w.letters),
-    )
-
-
-def _periodic_count(core: tuple, pattern: tuple) -> int:
-    # Occurrences of the pattern in the bi-infinite periodic word, counted
-    # once per period: start positions within one period.
-    if not core:
-        return 0
-    repeats = 1 + (len(pattern) + len(core) - 1) // len(core)
-    window = core * repeats
-    return sum(
-        1 for p in range(len(core)) if window[p : p + len(pattern)] == pattern
     )
 
 
@@ -180,15 +170,10 @@ def brooks_homogeneous(w: Word) -> Quasimorphism:
     homogeneous by construction; the declared defect bound is twice the
     bound of the inhomogeneous counting function.
     """
-    pattern, anti = _pattern_pair(w)
-
-    def evaluate(g: Word) -> int:
-        core = cyclic_reduce(g)[0].letters
-        return _periodic_count(core, pattern) - _periodic_count(core, anti)
-
+    table, m = _pattern_table(w), len(w)
     return Quasimorphism(
         domain=FreeGroupDomain(w.rank),
-        evaluate=evaluate,
+        evaluate=lambda g: _table_count(table, m, g.letters, True),
         defect_bound=Fraction(2 * DEFAULT_BOUND_FACTOR * len(w)),
         homogeneous=True,
         provenance=("homogenised", ("brooks", w.rank, w.letters)),
@@ -235,12 +220,6 @@ def defect_enumerate(f: Quasimorphism, max_len: int) -> DefectCertificate:
     return DefectCertificate("enumerated-lower", best, witness, max_len)
 
 
-def declared_defect_certificate(f: Quasimorphism) -> DefectCertificate:
-    if f.defect_bound is None:
-        raise ValueError("no declared defect bound")
-    return DefectCertificate("declared-upper", f.defect_bound)
-
-
 def brooks_defect_exact(w: Word) -> DefectCertificate:
     """The exact defect of brooks(w), with an attaining witness pair.
 
@@ -249,21 +228,21 @@ def brooks_defect_exact(w: Word) -> DefectCertificate:
     h = c^-1*v with c the maximal cancellation; occurrences lying fully
     inside u, c, or v cancel out of the sum (using f(c) + f(c^-1) = 0), so
     only crossings of the three junctions remain, and those see at most
-    len(w) - 1 letters on each side.  Enumerating u, v up to len(w) - 1
-    and c up to len(w) therefore attains the global supremum, realised on
-    a pair of words no longer than 2*len(w) - 1.
+    len(w) - 1 letters on each side.  The junctions with c see only its
+    first len(w) - 1 letters, so enumerating u, v and c up to len(w) - 1
+    attains the global supremum and its least witness (words are ordered
+    by length first), on a pair of words no longer than 2*len(w) - 1.
     """
-    pattern, anti = _pattern_pair(w)
+    table = _pattern_table(w)
     rank = w.rank
     ell = len(w)
     shorts = list(enumerate_reduced(rank, ell - 1))
-    longs = list(enumerate_reduced(rank, ell))
     cache: dict[tuple, int] = {}
 
     def value(t: tuple) -> int:
         got = cache.get(t)
         if got is None:
-            got = _count(t, pattern) - _count(t, anti)
+            got = _table_count(table, ell, t, False)
             cache[t] = got
         return got
 
@@ -276,7 +255,7 @@ def brooks_defect_exact(w: Word) -> DefectCertificate:
     best = 0
     witness = ((), ())
     witness_key = None
-    for c in longs:
+    for c in shorts:
         cinv = tuple(-l for l in reversed(c))
         for u in shorts:
             if u and c and u[-1] == -c[0]:
@@ -337,22 +316,53 @@ def pullback(
     )
 
 
+def _orbit_table(w: Word, autos: Sequence[Automorphism]) -> dict:
+    """Counting table of the sum of brooks(w) o a over letter-permuting autos.
+
+    brooks(w)(a(g)) counts a^-1(w) in g less a^-1(w)^-1, since a permutes
+    the signed letters and so maps each window of g to a window of a(g).
+    """
+    table: dict = {}
+    for a in autos:
+        for p, sign in _pattern_table(substitute(a.inverse_images, w, w.rank)).items():
+            table[p] = table.get(p, 0) + sign
+    return table
+
+
 def finite_average(f: Quasimorphism, autos: Sequence[Automorphism]) -> Quasimorphism:
-    """Average f over a finite group of automorphisms.
+    """Average f over a finite group of automorphisms, each listed once.
 
     The result is exactly invariant under every member of the group; the
     defect bound and homogeneity are inherited (averaging cannot increase
-    the defect).
+    the defect).  A counting function averaged over signed permutations
+    is evaluated as one orbit table; any other input applies every member.
     """
     if not isinstance(f.domain, FreeGroupDomain):
         raise ValueError("finite averaging is defined on free-group evaluators")
     autos = tuple(autos)
     if not is_finite_group(autos):
         raise ValueError("the averaging set must be a finite group of automorphisms")
+    if autos[0].rank != f.domain.rank:
+        raise ValueError("the automorphisms must act on the domain of f")
+    if len({a.images for a in autos}) != len(autos):
+        raise ValueError("the averaging set lists an automorphism twice")
     weight = Fraction(1, len(autos))
+    kind = f.provenance[0]
+    letter_permuting = all(len(u) == 1 for a in autos for u in a.images)
+    if kind in ("brooks", "homogenised") and letter_permuting:
+        _, rank, letters = f.provenance[1] if kind == "homogenised" else f.provenance
+        table = _orbit_table(Word(rank, letters), autos)
+        periodic = kind == "homogenised"
 
-    def evaluate(g: Word) -> Fraction:
-        return weight * sum(f(apply(a, g)) for a in autos)
+        def evaluate(g: Word) -> Fraction:
+            if g.rank != rank:
+                raise ValueError(f"rank mismatch: {rank} != {g.rank}")
+            return weight * _table_count(table, len(letters), g.letters, periodic)
+
+    else:
+
+        def evaluate(g: Word) -> Fraction:
+            return weight * sum(f(apply(a, g)) for a in autos)
 
     tables = tuple(
         (

@@ -332,9 +332,25 @@ class TestPools:
             extra = elementary("transvection", (1, 2, "left"), rank)
             cases.append((signed_permutations(rank) + [extra], False))
         cases.append(([SWAP, SWAP], False))
+        # Rank 3: every element dropped in turn, and transvections added
+        # first, in the middle or last, alone or with their inverse.
+        signed3 = signed_permutations(3)
+        for i in range(len(signed3)):
+            cases.append((signed3[:i] + signed3[i + 1 :], False))
+        for params in ((1, 2, "left"), (3, 1, "right"), (2, 3, "left")):
+            t = elementary("transvection", params, 3)
+            cases.append(([t] + signed3, False))
+            cases.append((signed3[:20] + [t] + signed3[20:], False))
+            cases.append((signed3 + [t, inverse(t)], False))
         for autos, expected in cases:
             assert oracle_is_finite_group(autos) == expected
             assert is_finite_group(autos) == expected
+
+    def test_rank_four_signed_permutations_are_a_group(self):
+        signed4 = signed_permutations(4)
+        assert len({a.images for a in signed4}) == 384
+        assert is_finite_group(signed4)
+        assert not is_finite_group(signed4[:-1])
 
     def test_is_finite_group_rejects_mixed_ranks(self):
         with pytest.raises(ValueError):

@@ -481,6 +481,17 @@ def test_bad_eval_spec_gives_one_json_error_line(capsys, tmp_path, spec):
     assert "error" in one_error_record(capsys)
 
 
+def test_eval_spec_repeating_an_averaging_table_is_bad_input(capsys, tmp_path):
+    from autqm.quasimorphisms import brooks, finite_average
+
+    f = finite_average(brooks(parse_word("ab")), parse_group("signed", 2))
+    kind, sub, tables = f.provenance
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps([kind, sub, tables + tables[1:2]]))
+    assert main(["qm", "eval", "--spec", str(path), "--on", "abaab"]) == 2
+    assert "twice" in one_error_record(capsys)["error"]
+
+
 SPEC_KINDS = (
     "brooks",
     "homogenised",

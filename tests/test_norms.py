@@ -117,6 +117,10 @@ class TestBfsNorm:
         result = bfs_norm(w([2]), [identity(2)], 12)
         assert result.status == "infinite"
 
+    def test_rank_checked_before_trivial_generators_are_dropped(self):
+        with pytest.raises(ValueError, match="share a rank"):
+            bfs_norm(w([2]), [identity(3)], 12)
+
     def test_subadditivity(self):
         rng = random.Random(7)
         for _ in range(30):

@@ -1,9 +1,18 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
 
-from autqm.automorphisms import ad, apply, elementary, signed_permutations
+from autqm.automorphisms import (
+    ad,
+    apply,
+    compose,
+    elementary,
+    identity_automorphism,
+    inverse,
+    signed_permutations,
+)
 from autqm.quasimorphisms import (
     FreeGroupDomain,
     ProductDomain,
@@ -12,7 +21,6 @@ from autqm.quasimorphisms import (
     brooks_homogeneous,
     build_quasimorphism,
     check_invariance,
-    declared_defect_certificate,
     defect_enumerate,
     finite_average,
     homogenise_numeric,
@@ -20,10 +28,14 @@ from autqm.quasimorphisms import (
     product_average,
     pullback,
     zero,
+    _orbit_table,
+    _table_count,
 )
 from autqm.words import (
     Word,
     conjugate,
+    cyclic_reduce,
+    enumerate_reduced,
     identity,
     invert,
     multiply,
@@ -31,6 +43,7 @@ from autqm.words import (
     random_reduced_word,
     reduce,
     substitute,
+    word_key,
 )
 
 
@@ -172,11 +185,6 @@ class TestDefect:
         exact = brooks_defect_exact(pattern)
         naive = defect_enumerate(brooks(pattern), 5)
         assert exact.value == naive.value
-
-    def test_declared_certificate(self):
-        cert = declared_defect_certificate(brooks(AB))
-        assert cert.bound_type == "declared-upper"
-        assert cert.value == 12
 
 
 def push(images, g, rank):
@@ -409,3 +417,209 @@ class TestExactness:
         z = zero(ProductDomain(2, 3))
         assert z((AB, AB, AB)) == 0
         assert z.aut_invariant
+
+
+# Oracles: the counting closures and the exact defect as they were before
+# counting functions became pattern tables.
+
+
+def oracle_count(haystack, needle):
+    n = len(needle)
+    if n == 0 or n > len(haystack):
+        return 0
+    return sum(
+        1 for i in range(len(haystack) - n + 1) if haystack[i : i + n] == needle
+    )
+
+
+def oracle_periodic_count(core, pattern):
+    if not core:
+        return 0
+    repeats = 1 + (len(pattern) + len(core) - 1) // len(core)
+    window = core * repeats
+    return sum(
+        1 for p in range(len(core)) if window[p : p + len(pattern)] == pattern
+    )
+
+
+def oracle_brooks(pattern):
+    anti = invert(pattern).letters
+    return lambda g: oracle_count(g.letters, pattern.letters) - oracle_count(
+        g.letters, anti
+    )
+
+
+def oracle_brooks_homogeneous(pattern):
+    anti = invert(pattern).letters
+
+    def evaluate(g):
+        core = cyclic_reduce(g)[0].letters
+        return oracle_periodic_count(core, pattern.letters) - oracle_periodic_count(
+            core, anti
+        )
+
+    return evaluate
+
+
+def oracle_average(f, autos):
+    weight = Fraction(1, len(autos))
+    return lambda g: weight * sum(f(apply(a, g)) for a in autos)
+
+
+def oracle_defect_exact(w):
+    """The seam enumeration with the cancelled part c up to len(w)."""
+    pattern, anti = w.letters, invert(w).letters
+    rank, ell = w.rank, len(w)
+    shorts = list(enumerate_reduced(rank, ell - 1))
+    longs = list(enumerate_reduced(rank, ell))
+
+    @functools.cache
+    def value(t):
+        return oracle_count(t, pattern) - oracle_count(t, anti)
+
+    best, witness, witness_key = 0, ((), ()), None
+    for c in longs:
+        cinv = tuple(-l for l in reversed(c))
+        for u in shorts:
+            if u and c and u[-1] == -c[0]:
+                continue
+            for v in shorts:
+                if (c and v and v[0] == c[0]) or (u and v and u[-1] == -v[0]):
+                    continue
+                d = abs(value(u + c) + value(cinv + v) - value(u + v))
+                if d < best:
+                    continue
+                g, h = u + c, cinv + v
+                key = (word_key(g), word_key(h))
+                if d > best or (witness_key is not None and key < witness_key):
+                    best, witness, witness_key = d, (g, h), key
+    return best, (Word(rank, witness[0]), Word(rank, witness[1])), 2 * ell - 1
+
+
+def small_groups(rank):
+    groups = {
+        "signed": signed_permutations(rank),
+        "trivial": [identity_automorphism(rank)],
+    }
+    if rank == 2:
+        groups["swap"] = [identity_automorphism(2), SWAP]
+    return groups
+
+
+def random_words(rng, rank, count, max_len=12):
+    return [Word(rank, ())] + [
+        random_reduced_word(rng, rank, rng.randrange(0, max_len)) for _ in range(count)
+    ]
+
+
+class TestPatternTables:
+    def test_counting_matches_closures(self):
+        rng = random.Random(43)
+        for rank in (1, 2, 3):
+            for _ in range(40):
+                pattern = random_reduced_word(rng, rank, rng.randrange(1, 6))
+                count, homog = brooks(pattern), brooks_homogeneous(pattern)
+                want_count = oracle_brooks(pattern)
+                want_homog = oracle_brooks_homogeneous(pattern)
+                # Includes the empty word and words shorter than the pattern.
+                for g in random_words(rng, rank, 10, max_len=len(pattern) + 8):
+                    assert count(g) == want_count(g)
+                    assert homog(g) == want_homog(g)
+
+    def test_letter_permuting_averages_match_closure(self):
+        rng = random.Random(47)
+        for rank in (1, 2, 3):
+            for name, group in small_groups(rank).items():
+                for _ in range(6):
+                    pattern = random_reduced_word(rng, rank, rng.randrange(1, 5))
+                    for build in (brooks, brooks_homogeneous):
+                        f = build(pattern)
+                        avg, want = finite_average(f, group), oracle_average(f, group)
+                        for g in random_words(rng, rank, 8):
+                            assert avg(g) == want(g), (rank, name, pattern, g)
+
+    def test_rank_four_signed_average_matches_closure(self):
+        rng = random.Random(53)
+        group = signed_permutations(4)
+        for pattern in (Word(4, (1, 2, -3)), Word(4, (4, 1, 4))):
+            for build in (brooks, brooks_homogeneous):
+                f = build(pattern)
+                avg, want = finite_average(f, group), oracle_average(f, group)
+                for g in random_words(rng, 4, 3, max_len=20):
+                    assert avg(g) == want(g)
+
+    def test_orbit_table_counts_each_image(self):
+        # One automorphism at a time: brooks(p)(a(g)) counts a^-1(p) in g,
+        # and rank 3 has signed permutations of order 3 where a != a^-1.
+        rng = random.Random(59)
+        for rank in (2, 3):
+            for a in signed_permutations(rank):
+                pattern = random_reduced_word(rng, rank, rng.randrange(1, 4))
+                table, m = _orbit_table(pattern, [a]), len(pattern)
+                f, fh = brooks(pattern), brooks_homogeneous(pattern)
+                for g in random_words(rng, rank, 4):
+                    assert _table_count(table, m, g.letters, False) == f(apply(a, g))
+                    assert _table_count(table, m, g.letters, True) == fh(apply(a, g))
+
+    def test_other_inputs_keep_the_general_average(self):
+        # A group that does not permute letters, and averages of pullbacks,
+        # combinations and averages, whose provenance has "brooks" deeper.
+        rng = random.Random(61)
+        for rank in (2, 3):
+            t = elementary("transvection", (1, 2, "left"), rank)
+            signed = signed_permutations(rank)
+            conjugated = [compose(compose(t, a), inverse(t)) for a in signed]
+            for _ in range(4):
+                pattern = random_reduced_word(rng, rank, rng.randrange(2, 4))
+                images = [
+                    random_reduced_word(rng, rank, rng.randrange(1, 4)) for _ in range(rank)
+                ]
+                inputs = [
+                    (brooks(pattern), conjugated),
+                    (brooks_homogeneous(pattern), conjugated),
+                    (pullback(brooks(pattern), images), signed),
+                    (pullback(brooks_homogeneous(pattern), images), signed),
+                    (linear_combination([(2, brooks(pattern))]), signed),
+                    (finite_average(brooks(pattern), signed), signed),
+                ]
+                for f, group in inputs:
+                    avg, want = finite_average(f, group), oracle_average(f, group)
+                    for g in random_words(rng, rank, 6, max_len=8):
+                        assert avg(g) == want(g), (f.provenance, g)
+
+    def test_repeated_automorphism_is_rejected(self):
+        group = signed_permutations(2)
+        with pytest.raises(ValueError, match="twice"):
+            finite_average(brooks(AB), group + [group[3]])
+        with pytest.raises(ValueError, match="twice"):
+            finite_average(pullback(brooks(AB), [AB, w([2])]), group + [group[0]])
+
+    def test_ranks_must_match(self):
+        with pytest.raises(ValueError, match="domain"):
+            finite_average(brooks(AB), signed_permutations(3))
+        for build in (brooks, brooks_homogeneous):
+            for group in (signed_permutations(2), [SWAP, identity_automorphism(2)]):
+                with pytest.raises(ValueError, match="rank mismatch"):
+                    finite_average(build(AB), group)(Word(3, (1, 2, 3)))
+
+
+class TestExactDefectSeam:
+    def check(self, pattern):
+        cert = brooks_defect_exact(pattern)
+        got = (cert.value, cert.witness, cert.enumeration_range)
+        assert got == oracle_defect_exact(pattern)
+
+    def test_rank_two_up_to_length_three(self):
+        for letters in enumerate_reduced(2, 3):
+            if letters:
+                self.check(Word(2, letters))
+
+    def test_rank_three_up_to_length_two(self):
+        for letters in enumerate_reduced(3, 2):
+            if letters:
+                self.check(Word(3, letters))
+
+    def test_sample_of_rank_two_length_four(self):
+        rng = random.Random(67)
+        for _ in range(10):
+            self.check(random_reduced_word(rng, 2, 4))
