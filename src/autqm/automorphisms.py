@@ -292,13 +292,18 @@ def signed_permutations(rank: int) -> list[Automorphism]:
     """
     autos = []
     for perm in itertools.permutations(range(1, rank + 1)):
-        base = elementary("permutation", perm, rank)
+        back = [perm.index(k) + 1 for k in range(1, rank + 1)]
         for signs in itertools.product((1, -1), repeat=rank):
-            phi = base
-            for i, s in enumerate(signs, start=1):
+            # The permutation, then the sign flips: x_i -> x_{p_i}^{s_{p_i}},
+            # whose inverse sends x_k -> x_{q_k}^{s_k} for q = p^-1.
+            images = tuple(Word(rank, (signs[p - 1] * p,)) for p in perm)
+            inverse_images = tuple(Word(rank, (s * q,)) for s, q in zip(signs, back))
+            witness = AutoWitness("permutation", perm)
+            for j, s in enumerate(signs, start=1):
                 if s < 0:
-                    phi = compose(elementary("inversion", (i,), rank), phi)
-            autos.append(phi)
+                    flip = AutoWitness("inversion", (j,))
+                    witness = AutoWitness("composite", (flip, witness))
+            autos.append(Automorphism(rank, images, inverse_images, witness))
     return autos
 
 

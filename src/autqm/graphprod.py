@@ -9,6 +9,7 @@ lexicographically least linearization of the commutation trace.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from dataclasses import dataclass
@@ -42,10 +43,16 @@ class VertexGraph:
         for m in self.labels:
             if m < 0 or m == 1:
                 raise ValueError(f"vertex order must be 0 or at least 2, got {m}")
-        vs = set(self.vertices)
+        # Lookup tables, not fields: equality, hashing and repr ignore them.
+        nbrs: dict[int, set[int]] = {v: set() for v in self.vertices}
         for e in self.edges:
-            if len(e) != 2 or not e <= vs:
+            if len(e) != 2 or not e <= nbrs.keys():
                 raise ValueError(f"bad edge {set(e)}")
+            u, v = e
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+        object.__setattr__(self, "_nbrs", nbrs)
+        object.__setattr__(self, "_labels", dict(zip(self.vertices, self.labels)))
 
     @staticmethod
     def build(labels: Sequence[int], edges: Sequence[tuple[int, int]]) -> "VertexGraph":
@@ -55,10 +62,13 @@ class VertexGraph:
         )
 
     def label(self, v: int) -> int:
-        return self.labels[self.vertices.index(v)]
+        try:
+            return self._labels[v]
+        except (KeyError, TypeError):
+            raise ValueError(f"unknown vertex {v}") from None
 
     def adjacent(self, u: int, v: int) -> bool:
-        return frozenset((u, v)) in self.edges
+        return v in self._nbrs.get(u, frozenset())
 
     def induced(self, subset: Sequence[int]) -> "VertexGraph":
         subset = tuple(sorted(subset))
@@ -75,19 +85,27 @@ def _normalize_exponent(label: int, e: int) -> int:
     return e % label if label > 0 else e
 
 
-def _merge(graph: VertexGraph, sylls: list[tuple[int, int]]) -> list[tuple[int, int]]:
+def _merge(
+    graph: VertexGraph, sylls: Sequence[tuple[int, int]]
+) -> list[tuple[int, int]]:
     # Fully merge same-vertex syllables reachable through commuting
     # separators.  One left-to-right pass suffices: the output is fully
     # merged after every step, and a syllable that cancels commutes with
     # everything after it, so deleting it never lets two others merge.
+    # Raw exponents are reduced here; label() rejects unknown vertices.
     out: list[tuple[int, int]] = []
     for v, e in sylls:
+        m = graph.label(v)
+        e = _normalize_exponent(m, e)
+        if not e:
+            continue
         # Walk left past commuting syllables; no vertex is adjacent to itself.
+        near = graph._nbrs[v]
         i = len(out) - 1
-        while i >= 0 and graph.adjacent(out[i][0], v):
+        while i >= 0 and out[i][0] in near:
             i -= 1
         if i >= 0 and out[i][0] == v:
-            merged = _normalize_exponent(graph.label(v), out[i][1] + e)
+            merged = _normalize_exponent(m, out[i][1] + e)
             if merged:
                 out[i] = (v, merged)
             else:
@@ -109,8 +127,9 @@ def _canonical_order(
     succs: list[list[int]] = [[] for _ in sylls]
     indeg = [0] * len(sylls)
     for j, (v, _) in enumerate(sylls):
+        near = graph._nbrs[v]
         for u, i in latest.items():
-            if u == v or not graph.adjacent(u, v):
+            if u not in near:  # true for u == v: no vertex is its own neighbour
                 succs[i].append(j)
                 indeg[j] += 1
         latest[v] = j
@@ -131,14 +150,7 @@ def _normalise(
     graph: VertexGraph, raw: Sequence[tuple[int, int]]
 ) -> tuple[tuple[int, int], ...]:
     """Normal-form syllables of a raw syllable sequence."""
-    sylls = []
-    for v, e in raw:
-        if v not in graph.vertices:
-            raise ValueError(f"unknown vertex {v}")
-        e = _normalize_exponent(graph.label(v), e)
-        if e:
-            sylls.append((v, e))
-    return tuple(_canonical_order(graph, _merge(graph, sylls)))
+    return tuple(_canonical_order(graph, _merge(graph, raw)))
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ class GPWord:
     """Normal-form element of a graph product.
 
     The constructor insists on normal form; use normal_form() to build
-    from raw syllables.
+    from raw syllables; it is the one path that skips the check.
     """
 
     graph: VertexGraph
@@ -172,7 +184,9 @@ def normal_form(graph: VertexGraph, raw: Sequence[tuple[int, int]]) -> GPWord:
     Two sequences represent the same group element iff their normal forms
     are identical.
     """
-    return GPWord(graph, _normalise(graph, raw))
+    x = object.__new__(GPWord)
+    x.__dict__.update(graph=graph, syllables=_normalise(graph, raw))
+    return x
 
 
 def gp_identity(graph: VertexGraph) -> GPWord:
@@ -195,12 +209,10 @@ def gp_conjugate(x: GPWord, t: GPWord) -> GPWord:
 
 def gp_generators(graph: VertexGraph) -> list[GPWord]:
     gens = []
-    for v in graph.vertices:
+    for v, m in zip(graph.vertices, graph.labels):
         gens.append(GPWord(graph, ((v, 1),)))
-        m = graph.label(v)
-        inverse_exp = -1 if m == 0 else m - 1
         if m != 2:
-            gens.append(GPWord(graph, ((v, _normalize_exponent(m, inverse_exp)),)))
+            gens.append(GPWord(graph, ((v, _normalize_exponent(m, -1)),)))
     return gens
 
 
@@ -252,6 +264,11 @@ class JoinDecomposition:
     factors: tuple[tuple[int, ...], ...]
     iso_classes: tuple[tuple[int, ...], ...]
     isos: tuple[tuple[int, ...], ...]
+
+    @functools.cached_property
+    def factor_graphs(self) -> tuple[VertexGraph, ...]:
+        """The induced subgraph of each factor, built on first use."""
+        return tuple(self.graph.induced(f) for f in self.factors)
 
 
 def factor_isomorphism(
@@ -398,12 +415,10 @@ def project_kill_h0(x: GPWord, d: JoinDecomposition) -> tuple[GPWord, ...]:
     """
     if d.graph != x.graph:
         raise ValueError("decomposition belongs to a different graph")
-    out = []
-    for factor in d.factors:
-        sub = d.graph.induced(factor)
-        sylls = [(v, e) for v, e in x.syllables if v in factor]
-        out.append(normal_form(sub, sylls))
-    return tuple(out)
+    return tuple(
+        normal_form(sub, [(v, e) for v, e in x.syllables if v in sub._labels])
+        for sub in d.factor_graphs
+    )
 
 
 def permute_factors(
@@ -430,13 +445,6 @@ def permute_factors(
     return normal_form(x.graph, [(vertex_map[v], e) for v, e in x.syllables])
 
 
-def _free_factor_rank(graph: VertexGraph, factor: Sequence[int]) -> Optional[int]:
-    sub = graph.induced(factor)
-    if sub.edges or any(m != 0 for m in sub.labels):
-        return None
-    return len(sub.vertices)
-
-
 def gp_pipeline_qm(
     graph: VertexGraph,
     d: JoinDecomposition,
@@ -458,8 +466,8 @@ def gp_pipeline_qm(
     for i in range(k):
         if i not in d.iso_classes[0]:
             raise ValueError(f"factor {i} is not isomorphic to factor 0")
-    base = d.factors[0]
-    rank = _free_factor_rank(graph, base)
+    base, sub = d.factors[0], d.factor_graphs[0]
+    rank = None if sub.edges or any(sub.labels) else len(base)
     if rank is None:
         if f.provenance[0] != "zero":
             raise ValueError(

@@ -98,6 +98,8 @@ class Quasimorphism:
     aut_invariant: bool = False
 
     def __call__(self, g) -> Fraction:
+        if isinstance(self.domain, FreeGroupDomain) and g.rank != self.domain.rank:
+            raise ValueError(f"rank mismatch: {self.domain.rank} != {g.rank}")
         value = self.evaluate(g)
         if isinstance(value, float):
             raise TypeError("quasimorphism evaluators must stay exact")
@@ -355,8 +357,6 @@ def finite_average(f: Quasimorphism, autos: Sequence[Automorphism]) -> Quasimorp
         periodic = kind == "homogenised"
 
         def evaluate(g: Word) -> Fraction:
-            if g.rank != rank:
-                raise ValueError(f"rank mismatch: {rank} != {g.rank}")
             return weight * _table_count(table, len(letters), g.letters, periodic)
 
     else:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -290,6 +291,22 @@ def oracle_is_finite_group(autos):
     return True
 
 
+def composed_signed_permutations(rank):
+    """signed_permutations as built before it wrote the image tables
+    directly: each element composed from validated elementary
+    automorphisms."""
+    autos = []
+    for perm in itertools.permutations(range(1, rank + 1)):
+        base = elementary("permutation", perm, rank)
+        for signs in itertools.product((1, -1), repeat=rank):
+            phi = base
+            for i, s in enumerate(signs, start=1):
+                if s < 0:
+                    phi = compose(elementary("inversion", (i,), rank), phi)
+            autos.append(phi)
+    return autos
+
+
 class TestPools:
     @pytest.mark.parametrize("rank", [2, 3])
     @pytest.mark.parametrize("depth", [0, 1, 2])
@@ -351,6 +368,14 @@ class TestPools:
         assert len({a.images for a in signed4}) == 384
         assert is_finite_group(signed4)
         assert not is_finite_group(signed4[:-1])
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_signed_permutations_match_composed_oracle(self, rank):
+        fast, oracle = signed_permutations(rank), composed_signed_permutations(rank)
+        assert [(a.images, a.inverse_images) for a in fast] == [
+            (a.images, a.inverse_images) for a in oracle
+        ]
+        assert [a.witness for a in fast] == [a.witness for a in oracle]
 
     def test_is_finite_group_rejects_mixed_ranks(self):
         with pytest.raises(ValueError):

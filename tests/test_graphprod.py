@@ -217,6 +217,100 @@ class TestGroupOperations:
             gp_multiply(gp_identity(PATH), gp_identity(C4))
 
 
+def old_label(graph, v):
+    """VertexGraph.label before the per-graph tables: a scan of vertices."""
+    return graph.labels[graph.vertices.index(v)]
+
+
+def old_adjacent(graph, u, v):
+    """VertexGraph.adjacent before the per-graph tables: an edge-set probe."""
+    return frozenset((u, v)) in graph.edges
+
+
+def exception_or_value(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def random_graph_or_induced(rng):
+    """A random graph on up to 7 vertices, or an induced subgraph of one,
+    whose vertex ids then need not be 0..n-1."""
+    graph = random_graph(rng, max_vertices=7)
+    if rng.random() < 0.5:
+        subset = rng.sample(graph.vertices, rng.randrange(1, len(graph.vertices) + 1))
+        graph = graph.induced(subset)
+    return graph
+
+
+class TestTrustedNormalForm:
+    """normal_form skips GPWord's normal-form check; its results, and so
+    those of gp_multiply and gp_invert, must pass that check unchanged."""
+
+    def test_results_pass_the_validated_constructor(self):
+        rng = random.Random(29)
+        for _ in range(600):
+            graph = random_graph_or_induced(rng)
+            raws = [
+                [
+                    (rng.choice(graph.vertices), rng.randrange(-5, 6))
+                    for _ in range(rng.randrange(0, 25))
+                ]
+                for _ in range(2)
+            ]
+            x, y = (normal_form(graph, raw) for raw in raws)
+            for z in (x, y, gp_multiply(x, y), gp_invert(x), gp_conjugate(x, y)):
+                checked = GPWord(graph, z.syllables)
+                assert checked == z and checked.syllables == z.syllables
+                assert hash(checked) == hash(z)
+
+    def test_projection_components_pass_the_validated_constructor(self):
+        rng = random.Random(31)
+        for _ in range(100):
+            graph = random_join(rng)
+            d = join_decompose(graph)
+            x = normal_form(graph, random_raw(rng, graph, rng.randrange(0, 20)))
+            for sub, component in zip(d.factor_graphs, project_kill_h0(x, d)):
+                assert component.graph == sub
+                assert GPWord(sub, component.syllables) == component
+
+    def test_edge_order_does_not_matter(self):
+        rng = random.Random(37)
+        for _ in range(100):
+            graph = random_graph(rng, max_vertices=7)
+            edges = [tuple(e) for e in graph.edges]
+            rng.shuffle(edges)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            other = VertexGraph.build(graph.labels, edges)
+            assert other == graph and hash(other) == hash(graph)
+            assert "_nbrs" not in repr(graph) and "_labels" not in repr(graph)
+            for u in graph.vertices:
+                assert {v for v in graph.vertices if other.adjacent(u, v)} == {
+                    v for v in graph.vertices if graph.adjacent(u, v)
+                }
+
+    def test_adjacent_and_label_match_the_old_lookups(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            graph = random_graph_or_induced(rng)
+            probes = list(range(-1, max(graph.vertices) + 2)) + [None, "0", 1.0]
+            for u in probes:
+                assert exception_or_value(graph.label, u) == exception_or_value(
+                    old_label, graph, u
+                )
+                for v in probes:
+                    assert exception_or_value(
+                        graph.adjacent, u, v
+                    ) == exception_or_value(old_adjacent, graph, u, v)
+            bad = [0]  # unhashable
+            assert exception_or_value(graph.label, bad) is ValueError
+            assert exception_or_value(old_label, graph, bad) is ValueError
+            for args in ((bad, 0), (0, bad), (bad, bad), (-1, bad)):
+                assert exception_or_value(graph.adjacent, *args) is TypeError
+                assert exception_or_value(old_adjacent, graph, *args) is TypeError
+
+
 class TestDihedralModel:
     """Compare the two-reflection graph product with explicit dihedral arithmetic."""
 
@@ -457,6 +551,24 @@ class TestProjection:
             py = project_kill_h0(y, d)
             pxy = project_kill_h0(gp_multiply(x, y), d)
             assert pxy == tuple(gp_multiply(a, b) for a, b in zip(px, py))
+
+    def test_matches_per_element_induced_graphs(self):
+        # project_kill_h0 as written before the decomposition kept its
+        # factor graphs: each call rebuilt every induced subgraph.
+        rng = random.Random(19)
+        for _ in range(100):
+            graph = random_join(rng)
+            d = join_decompose(graph)
+            assert d.factor_graphs == tuple(graph.induced(f) for f in d.factors)
+            for _ in range(5):
+                x = normal_form(graph, random_raw(rng, graph, rng.randrange(0, 20)))
+                rebuilt = tuple(
+                    normal_form(
+                        graph.induced(f), [(v, e) for v, e in x.syllables if v in f]
+                    )
+                    for f in d.factors
+                )
+                assert project_kill_h0(x, d) == rebuilt
 
 
 class TestPipeline:

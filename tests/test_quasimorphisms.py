@@ -76,6 +76,12 @@ class TestBrooks:
         cert = defect_enumerate(brooks(w([1])), 3)
         assert cert.value == 0
 
+    def test_rejects_word_of_another_rank(self):
+        with pytest.raises(ValueError, match=r"rank mismatch: 2 != 3"):
+            brooks(AB)(Word(3, (1, 2, 3)))
+        with pytest.raises(ValueError, match=r"rank mismatch: 2 != 1"):
+            brooks(AB)(Word(1, (1,)))
+
 
 class TestBrooksHomogeneous:
     def test_commutator_value(self):
@@ -106,6 +112,10 @@ class TestBrooksHomogeneous:
             g = random_reduced_word(rng, 2, rng.randrange(0, 10))
             t = random_reduced_word(rng, 2, rng.randrange(0, 10))
             assert f(conjugate(g, t)) == f(g)
+
+    def test_rejects_word_of_another_rank(self):
+        with pytest.raises(ValueError, match=r"rank mismatch: 2 != 3"):
+            brooks_homogeneous(AB)(Word(3, (1, 2, 3)))
 
 
 class TestHomogeniseNumeric:
@@ -232,6 +242,16 @@ class TestPullback:
     def test_rank_mismatch(self):
         with pytest.raises(ValueError):
             pullback(brooks(AB), [identity(3)])
+
+    def test_rejects_word_of_another_rank(self):
+        # A longer word used to index past the image table; a shorter one
+        # was evaluated without complaint.
+        p = pullback(brooks(AB), [w([1]), w([2])])
+        with pytest.raises(ValueError, match=r"rank mismatch: 2 != 3"):
+            p(Word(3, (1, 2, 3)))
+        q = pullback(brooks(AB), [w([1]), w([2]), AB], source_rank=3)
+        with pytest.raises(ValueError, match=r"rank mismatch: 3 != 2"):
+            q(AB)
 
 
 class TestFiniteAverage:
