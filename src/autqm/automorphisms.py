@@ -2,8 +2,9 @@
 
 An automorphism always carries the images of the basis under its inverse
 as well; inverses are therefore a table swap, and composition never needs
-a general inversion algorithm.  Every constructor validates the defining
-round trip, so an ``Automorphism`` value is correct by construction.
+a general inversion algorithm.  The public constructor validates the
+defining round trip; composition, inversion and the named generators
+build tables that are correct by construction and skip that check.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .words import (
-    Word, breadth_first, invert as invert_word, is_conjugate, multiply, power,
-    substitute,
+    Word, _trusted, breadth_first, invert as invert_word, is_conjugate, multiply,
+    power, substitute,
 )
 
 
@@ -42,11 +43,8 @@ class AutoWitness:
         if self.kind == "inversion":
             return self
         if self.kind == "permutation":
-            images = self.params
-            inv = [0] * len(images)
-            for i, img in enumerate(images, start=1):
-                inv[img - 1] = i
-            return AutoWitness("permutation", tuple(inv))
+            p = self.params
+            return AutoWitness("permutation", tuple(p.index(k) + 1 for k in sorted(p)))
         if self.kind == "transvection":
             i, j, side = self.params
             flip = AutoWitness("inversion", (i,))
@@ -95,8 +93,7 @@ class Automorphism:
         for w in self.images + self.inverse_images:
             if w.rank != n:
                 raise ValueError("image word rank differs from automorphism rank")
-        for i in range(1, n + 1):
-            x = Word(n, (i,))
+        for x in _generators(n):
             fwd = substitute(self.inverse_images, substitute(self.images, x, n), n)
             bwd = substitute(self.images, substitute(self.inverse_images, x, n), n)
             if fwd != x or bwd != x:
@@ -108,9 +105,23 @@ class Automorphism:
         return apply(self, w)
 
 
+def _automorphism(rank, images, inverse_images, witness) -> Automorphism:
+    # No round-trip check: the tables are mutually inverse by construction.
+    phi = object.__new__(Automorphism)
+    object.__setattr__(phi, "rank", rank)  # no __dict__ write: see words._trusted
+    object.__setattr__(phi, "images", images)
+    object.__setattr__(phi, "inverse_images", inverse_images)
+    object.__setattr__(phi, "witness", witness)
+    return phi
+
+
+def _generators(rank: int) -> tuple[Word, ...]:
+    return tuple(Word(rank, (i,)) for i in range(1, rank + 1))
+
+
 def identity_automorphism(rank: int) -> Automorphism:
-    gens = tuple(Word(rank, (i,)) for i in range(1, rank + 1))
-    return Automorphism(
+    gens = _generators(rank)
+    return _automorphism(
         rank, gens, gens, AutoWitness("permutation", tuple(range(1, rank + 1)))
     )
 
@@ -122,7 +133,8 @@ def elementary(kind: str, params: Sequence, rank: int) -> Automorphism:
     inversion (i,): x_i -> x_i^-1; permutation (p_1..p_n): x_i -> x_{p_i}.
     """
     params = tuple(params)
-    gens = [Word(rank, (i,)) for i in range(1, rank + 1)]
+    gens = _generators(rank)
+    images, inverse_images = list(gens), list(gens)
     if kind == "transvection":
         i, j, side = params
         if i == j:
@@ -131,38 +143,24 @@ def elementary(kind: str, params: Sequence, rank: int) -> Automorphism:
             raise ValueError("transvection indices out of range")
         if side not in ("left", "right"):
             raise ValueError(f"unknown transvection side {side!r}")
-        images = list(gens)
-        inverse_images = list(gens)
-        if side == "left":
-            images[j - 1] = Word(rank, (i, j))
-            inverse_images[j - 1] = Word(rank, (-i, j))
-        else:
-            images[j - 1] = Word(rank, (j, i))
-            inverse_images[j - 1] = Word(rank, (j, -i))
-        return Automorphism(
-            rank, tuple(images), tuple(inverse_images), AutoWitness(kind, params)
-        )
-    if kind == "inversion":
+        left = side == "left"
+        images[j - 1] = _trusted(Word, rank, (i, j) if left else (j, i))
+        inverse_images[j - 1] = _trusted(Word, rank, (-i, j) if left else (j, -i))
+    elif kind == "inversion":
         (i,) = params
         if not 1 <= i <= rank:
             raise ValueError("inversion index out of range")
-        images = list(gens)
-        images[i - 1] = Word(rank, (-i,))
-        return Automorphism(
-            rank, tuple(images), tuple(images), AutoWitness(kind, params)
-        )
-    if kind == "permutation":
+        images[i - 1] = inverse_images[i - 1] = _trusted(Word, rank, (-i,))
+    elif kind == "permutation":
         if sorted(params) != list(range(1, rank + 1)):
             raise ValueError(f"{params} is not a permutation of 1..{rank}")
-        images = tuple(Word(rank, (params[i - 1],)) for i in range(1, rank + 1))
-        inv = [0] * rank
-        for i, img in enumerate(params, start=1):
-            inv[img - 1] = i
-        inverse_images = tuple(Word(rank, (inv[i - 1],)) for i in range(1, rank + 1))
-        return Automorphism(
-            rank, images, inverse_images, AutoWitness(kind, params)
-        )
-    raise ValueError(f"unknown elementary kind {kind!r}")
+        for i, p in enumerate(params, start=1):
+            images[i - 1], inverse_images[p - 1] = gens[p - 1], gens[i - 1]
+    else:
+        raise ValueError(f"unknown elementary kind {kind!r}")
+    return _automorphism(
+        rank, tuple(images), tuple(inverse_images), AutoWitness(kind, params)
+    )
 
 
 def apply(phi: Automorphism, w: Word) -> Word:
@@ -184,7 +182,7 @@ def compose(phi: Automorphism, psi: Automorphism) -> Automorphism:
     witness = None
     if phi.witness is not None and psi.witness is not None:
         witness = AutoWitness("composite", (phi.witness, psi.witness))
-    return Automorphism(n, images, inverse_images, witness)
+    return _automorphism(n, images, inverse_images, witness)
 
 
 def compose_all(autos: Iterable[Automorphism], rank: int) -> Automorphism:
@@ -196,20 +194,16 @@ def compose_all(autos: Iterable[Automorphism], rank: int) -> Automorphism:
 
 def inverse(phi: Automorphism) -> Automorphism:
     witness = phi.witness.inverse() if phi.witness is not None else None
-    return Automorphism(phi.rank, phi.inverse_images, phi.images, witness)
+    return _automorphism(phi.rank, phi.inverse_images, phi.images, witness)
 
 
 def ad(g: Word) -> Automorphism:
     """Conjugation x -> g x g^-1 as an automorphism."""
     n = g.rank
-    ginv = invert_word(g)
-    images = tuple(
-        multiply(g, multiply(Word(n, (i,)), ginv)) for i in range(1, n + 1)
-    )
-    inverse_images = tuple(
-        multiply(ginv, multiply(Word(n, (i,)), g)) for i in range(1, n + 1)
-    )
-    return Automorphism(
+    ginv, gens = invert_word(g), _generators(n)
+    images = tuple(multiply(g, multiply(x, ginv)) for x in gens)
+    inverse_images = tuple(multiply(ginv, multiply(x, g)) for x in gens)
+    return _automorphism(
         n, images, inverse_images, AutoWitness("conjugation-by-word", g.letters)
     )
 
@@ -240,24 +234,19 @@ def word_transvection(u: Word, j: int, side: str = "left") -> Automorphism:
         raise ValueError("generator index out of range")
     if j in u.support():
         raise ValueError(f"multiplier word uses generator {j}")
-    gens = [Word(n, (i,)) for i in range(1, n + 1)]
-    images = list(gens)
-    inverse_images = list(gens)
-    if side == "left":
-        images[j - 1] = multiply(u, gens[j - 1])
-        inverse_images[j - 1] = multiply(invert_word(u), gens[j - 1])
-    elif side == "right":
-        images[j - 1] = multiply(gens[j - 1], u)
-        inverse_images[j - 1] = multiply(gens[j - 1], invert_word(u))
-    else:
+    if side not in ("left", "right"):
         raise ValueError(f"unknown side {side!r}")
+    images, inverse_images = list(_generators(n)), list(_generators(n))
+    x = images[j - 1]
+    for table, v in ((images, u), (inverse_images, invert_word(u))):
+        table[j - 1] = multiply(v, x) if side == "left" else multiply(x, v)
     parts = []
     letters = u.letters if side == "left" else tuple(reversed(u.letters))
     for l in letters:
         w = AutoWitness("transvection", (abs(l), j, side))
         parts.append(w if l > 0 else w.inverse())
     witness = AutoWitness("composite", tuple(parts))
-    return Automorphism(n, tuple(images), tuple(inverse_images), witness)
+    return _automorphism(n, tuple(images), tuple(inverse_images), witness)
 
 
 def elementary_automorphisms(rank: int) -> list[Automorphism]:
@@ -296,14 +285,14 @@ def signed_permutations(rank: int) -> list[Automorphism]:
         for signs in itertools.product((1, -1), repeat=rank):
             # The permutation, then the sign flips: x_i -> x_{p_i}^{s_{p_i}},
             # whose inverse sends x_k -> x_{q_k}^{s_k} for q = p^-1.
-            images = tuple(Word(rank, (signs[p - 1] * p,)) for p in perm)
-            inverse_images = tuple(Word(rank, (s * q,)) for s, q in zip(signs, back))
+            images = tuple(_trusted(Word, rank, (signs[p - 1] * p,)) for p in perm)
+            inverse_images = tuple(_trusted(Word, rank, (s * q,)) for s, q in zip(signs, back))
             witness = AutoWitness("permutation", perm)
             for j, s in enumerate(signs, start=1):
                 if s < 0:
                     flip = AutoWitness("inversion", (j,))
                     witness = AutoWitness("composite", (flip, witness))
-            autos.append(Automorphism(rank, images, inverse_images, witness))
+            autos.append(_automorphism(rank, images, inverse_images, witness))
     return autos
 
 

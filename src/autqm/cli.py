@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -66,6 +67,25 @@ class InputError(ValueError):
 
 # Longest result `word pow` builds; a longer one is a cutoff, not an allocation.
 MAX_POWER_LETTERS = 10**7
+# Most automorphisms and candidate pairs a `norm acl`, `sacl`, `cl` or `auto
+# achiral` search builds, bounded from its parameters; more is a cutoff.
+MAX_SEARCH_SIZE = 3 * 10**5
+
+
+def _series(first: int, ratio: int, terms: int) -> int:
+    # first * (1 + ratio + ... + ratio**(terms - 1)), exact up to 40 terms
+    terms = max(terms, 0)
+    return first * terms if ratio == 1 else first * (ratio ** min(terms, 40) - 1) // (ratio - 1)
+
+
+def _check_search_size(rank: int, depth: int, length: int, size) -> None:
+    """Cut off unless size(autos, words) fits the cap: autos bounds the
+    automorphisms composite_pool(rank, depth) builds, words the nonempty
+    reduced words up to the length."""
+    elementary = math.factorial(min(rank, 10)) - 1 + rank * (2 * rank - 1)  # 10! > cap
+    autos = elementary + _series(elementary, elementary, depth)
+    if size(autos, _series(2 * rank, 2 * rank - 1, length)) > MAX_SEARCH_SIZE:
+        raise CutoffExceeded(f"search would build more than {MAX_SEARCH_SIZE} candidates", 0)
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -322,6 +342,7 @@ def cmd_auto(args) -> int:
         emit({"op": "auto.autocomm", "value": format_word(autocommutator(phi, w))})
     elif args.auto_op == "achiral":
         w = parse_word(args.word, rank)
+        _check_search_size(w.rank, args.depth, 0, lambda autos, _: autos * args.kmax)
         found = achirality_search(w, args.kmax, args.depth)
         if found is None:
             emit({"op": "auto.achiral", "found": False})
@@ -442,6 +463,10 @@ def _as_tuples(obj):
 
 def cmd_norm(args) -> int:
     w = parse_word(args.word, args.rank)
+    if args.norm_op in ("acl", "sacl"):
+        _check_search_size(w.rank, args.pool_depth, args.elem_len, lambda a, n: (a + n) * n)
+    elif args.norm_op == "cl":
+        _check_search_size(w.rank, 0, args.len_cap, lambda _, n: (n + 1) ** 2)
     if args.norm_op == "bfs":
         gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
         if args.group != "none":
@@ -556,8 +581,14 @@ def cmd_verify(args) -> int:
     return 1 if any(not r.passed for r in results) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error, in a subcommand too, is bad input: one JSON line.
+        raise InputError(f"{self.prog}: {message}")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="autqm",
         description="Exact free-group, quasimorphism, norm, and graph-product computations",
     )
@@ -710,9 +741,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         if getattr(args, "rank", None) is not None and args.rank < 1:
             raise InputError(f"--rank must be at least 1, got {args.rank}")
         return args.func(args)

@@ -3,7 +3,8 @@
 Letters are nonzero signed integers: ``i`` stands for the i-th basis
 generator and ``-i`` for its inverse.  Every operation in this module
 returns freely reduced words and is pure; values are immutable and safe
-to share between threads.
+to share between threads.  Public constructors validate their input;
+the operations skip those checks for results correct by construction.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ def signed_letters(rank: int) -> tuple[int, ...]:
 
 def word_key(letters: Sequence[int]) -> tuple:
     """Sort key for reduced words: by length, then letterwise."""
-    return (len(letters), tuple(letter_key(l) for l in letters))
+    return (len(letters), tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in letters))
 
 
-def _reduce_letters(letters: Iterable[int]) -> tuple[int, ...]:
-    out: list[int] = []
+def _reduce_letters(letters: Iterable[int], out: list[int]) -> tuple[int, ...]:
+    # out, a reduced prefix, followed by the letters, freely reduced.
     for l in letters:
         if out and out[-1] == -l:
             out.pop()
@@ -83,6 +84,15 @@ class Word:
         return power(self, k)
 
 
+def _trusted(cls, rank: int, letters: tuple[int, ...]):
+    """A Word or CyclicWord built without its checks, for results that are
+    correct by construction (for CyclicWord: already the least rotation)."""
+    w = object.__new__(cls)
+    object.__setattr__(w, "rank", rank)  # a __dict__ write would cost 2.5x the memory
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 @dataclass(frozen=True)
 class CyclicWord:
     """A cyclically reduced word considered up to rotation.
@@ -107,12 +117,12 @@ class CyclicWord:
         return len(self.letters)
 
     def as_word(self) -> Word:
-        return Word(self.rank, self.letters)
+        return _trusted(Word, self.rank, self.letters)
 
 
 def _least_rotation(letters: Sequence[int]) -> int:
     """Offset of the least rotation under letter_key; the first one on ties."""
-    keys = tuple(letter_key(l) for l in letters)
+    _, keys = word_key(letters)
     n = len(keys)
     doubled = keys + keys
     return min(range(n), key=lambda i: doubled[i : i + n], default=0)
@@ -133,27 +143,23 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     (1, 2, 1)
     """
     letters = tuple(letters)
+    identity(rank)  # checks the rank
     for l in letters:
         if l == 0 or abs(l) > rank:
             raise ValueError(f"letter {l} out of range for rank {rank}")
-    return Word(rank, _reduce_letters(letters))
+    return _trusted(Word, rank, _reduce_letters(letters, []))
 
 
 def multiply(u: Word, v: Word) -> Word:
     """Product of two words, freely reduced."""
     if u.rank != v.rank:
         raise ValueError(f"rank mismatch: {u.rank} != {v.rank}")
-    out = list(u.letters)
-    for l in v.letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return Word(u.rank, tuple(out))
+    return _trusted(Word, u.rank, _reduce_letters(v.letters, list(u.letters)))
 
 
 def substitute(images: Sequence[Word], w: Word, rank: int) -> Word:
-    """w with each generator i replaced by images[i - 1], freely reduced."""
+    """w with each generator i replaced by images[i - 1] (words of the
+    given rank), freely reduced."""
     out: list[int] = []
     for l in w.letters:
         img = images[abs(l) - 1].letters
@@ -164,7 +170,7 @@ def substitute(images: Sequence[Word], w: Word, rank: int) -> Word:
                 out.pop()
             else:
                 out.append(x)
-    return Word(rank, tuple(out))
+    return _trusted(Word, rank, tuple(out))
 
 
 def multiply_all(words: Iterable[Word], rank: int) -> Word:
@@ -180,7 +186,7 @@ def invert(u: Word) -> Word:
     >>> invert(reduce([1, 2, -1, -2], 2)).letters
     (2, 1, -2, -1)
     """
-    return Word(u.rank, tuple(-l for l in reversed(u.letters)))
+    return _trusted(Word, u.rank, tuple(-l for l in reversed(u.letters)))
 
 
 def _strip_ends(letters: tuple[int, ...]) -> tuple[int, int]:
@@ -204,9 +210,8 @@ def cyclic_reduce(u: Word) -> tuple[CyclicWord, Word]:
     # The canonical rotation shifts the core; fold the shift into the
     # conjugator: t' = t * prefix, where core = prefix * rest rotated.
     offset = _least_rotation(stripped)
-    core = CyclicWord(u.rank, stripped[offset:] + stripped[:offset])
-    conjugator = Word(u.rank, letters[:i] + stripped[:offset])
-    return core, conjugator
+    core = _trusted(CyclicWord, u.rank, stripped[offset:] + stripped[:offset])
+    return core, _trusted(Word, u.rank, letters[: i + offset])
 
 
 def power(u: Word, k: int) -> Word:
@@ -227,7 +232,7 @@ def power(u: Word, k: int) -> Word:
     t = u.letters[:i]
     stripped = u.letters[i:j]
     raw = t + stripped * k + tuple(-l for l in reversed(t))
-    return Word(u.rank, raw)
+    return _trusted(Word, u.rank, raw)
 
 
 def is_conjugate(u: Word, v: Word) -> bool:
@@ -256,7 +261,7 @@ def primitive_root(u: Word) -> tuple[Word, int, Word]:
         if n % p:
             continue
         if letters[:p] * (n // p) == letters:
-            return Word(u.rank, letters[:p]), n // p, t
+            return _trusted(Word, u.rank, letters[:p]), n // p, t
     raise AssertionError("unreachable: every word is a power of itself")
 
 

@@ -626,3 +626,93 @@ class TestParsers:
     def test_bad_chain(self):
         with pytest.raises(Exception):
             parse_auto_chain("frobnicate(1)", 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["bogus"],
+        ["wh", "min"],
+        ["word", "pow", "ab", "x"],
+        ["verify", "bogus"],
+        ["norm", "acl", "--word", "ab", "--kmax", "two"],
+        ["word", "reduce", "ab", "--frobnicate"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "missing-option",
+        "bad-int",
+        "bad-choice",
+        "bad-int-option",
+        "unknown-option",
+    ],
+)
+def test_usage_error_gives_one_json_error_line(capsys, argv):
+    assert main(argv) == 2
+    assert "error" in one_error_record(capsys)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["wh", "--help"])
+    assert exit_info.value.code == 0
+    assert "usage" in capsys.readouterr().out
+
+
+SEARCHES = {
+    "acl": "acl_upper",
+    "sacl": "sacl_estimate",
+    "cl": "cl_upper",
+    "achiral": "achirality_search",
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "cl", "--word", "ab", "--len-cap", "8"],
+        ["norm", "cl", "--word", "ab", "--len-cap", "6"],
+        ["norm", "acl", "--word", "ab", "--elem-len", "9"],
+        ["norm", "acl", "--word", "ab", "--elem-len", "6"],
+        ["norm", "acl", "--word", "ab", "--pool-depth", "9"],
+        ["norm", "acl", "--word", "ab", "--pool-depth", "5"],
+        ["norm", "acl", "--word", "abcde"],
+        ["norm", "sacl", "--word", "ab", "--pool-depth", "9"],
+        ["auto", "achiral", "--word", "ab", "--depth", "12"],
+        ["auto", "achiral", "--word", "ab", "--depth", "7"],
+        ["auto", "achiral", "--word", "ab", "--depth", "6", "--kmax", "3"],
+        ["auto", "achiral", "--word", "ab", "--rank", "1000000000"],
+    ],
+)
+def test_oversized_search_is_a_cutoff_before_building(capsys, argv):
+    # The search itself must not start: each of these runs for minutes.
+    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=AssertionError):
+        assert main(argv) == 3
+    assert one_error_record(capsys)["cutoff"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["norm", "cl", "--word", "ab"],
+        ["norm", "cl", "--word", "ab", "--len-cap", "5"],
+        ["norm", "acl", "--word", "ab"],
+        ["norm", "acl", "--word", "ab", "--elem-len", "5"],
+        ["norm", "acl", "--word", "ab", "--pool-depth", "4"],
+        ["norm", "acl", "--word", "abc"],
+        ["norm", "acl", "--word", "abcd"],
+        ["norm", "acl", "--word", "ab", "--pool-depth", "9", "--elem-len", "0"],
+        ["norm", "sacl", "--word", "abcd"],
+        ["auto", "achiral", "--word", "ab"],
+        ["auto", "achiral", "--word", "ab", "--depth", "6"],
+        ["auto", "achiral", "--word", "abcd", "--depth", "2"],
+    ],
+)
+def test_searches_within_the_bound_run(capsys, argv):
+    # The defaults up to rank 4 and the largest sizes under the bound.
+    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=ValueError) as search:
+        assert main(argv) == 2
+    search.assert_called_once()
+    assert "cutoff" not in one_error_record(capsys)
