@@ -57,7 +57,8 @@ from .whitehead import (
     whitehead_graph,
 )
 from .words import (
-    CutoffExceeded, Word, cyclic_reduce, invert, is_conjugate, multiply, power, reduce
+    CutoffExceeded, Word, cyclic_reduce, invert, is_conjugate, multiply, power,
+    primitive_root, reduce,
 )
 
 
@@ -65,10 +66,12 @@ class InputError(ValueError):
     pass
 
 
-# Longest result `word pow` builds; a longer one is a cutoff, not an allocation.
+# Most letters the powers of `word pow` or `auto achiral` take; more is a
+# cutoff, not an allocation.
 MAX_POWER_LETTERS = 10**7
 # Most automorphisms and candidate pairs a `norm acl`, `sacl`, `cl` or `auto
-# achiral` search builds, bounded from its parameters; more is a cutoff.
+# achiral` search builds, or words a `norm bfs` ball holds, bounded from the
+# parameters; more is a cutoff.
 MAX_SEARCH_SIZE = 3 * 10**5
 
 
@@ -84,7 +87,11 @@ def _check_search_size(rank: int, depth: int, length: int, size) -> None:
     reduced words up to the length."""
     elementary = math.factorial(min(rank, 10)) - 1 + rank * (2 * rank - 1)  # 10! > cap
     autos = elementary + _series(elementary, elementary, depth)
-    if size(autos, _series(2 * rank, 2 * rank - 1, length)) > MAX_SEARCH_SIZE:
+    _check_size(size(autos, _series(2 * rank, 2 * rank - 1, length)))
+
+
+def _check_size(size: int) -> None:
+    if size > MAX_SEARCH_SIZE:
         raise CutoffExceeded(f"search would build more than {MAX_SEARCH_SIZE} candidates", 0)
 
 
@@ -343,6 +350,9 @@ def cmd_auto(args) -> int:
     elif args.auto_op == "achiral":
         w = parse_word(args.word, rank)
         _check_search_size(w.rank, args.depth, 0, lambda autos, _: autos * args.kmax)
+        # g^k and g^-k for every k <= kmax take kmax (kmax + 1) |g| letters.
+        if max(args.kmax, 0) * (args.kmax + 1) * len(w) > MAX_POWER_LETTERS:
+            raise CutoffExceeded(f"powers would exceed {MAX_POWER_LETTERS} letters", 0)
         found = achirality_search(w, args.kmax, args.depth)
         if found is None:
             emit({"op": "auto.achiral", "found": False})
@@ -463,14 +473,23 @@ def _as_tuples(obj):
 
 def cmd_norm(args) -> int:
     w = parse_word(args.word, args.rank)
+    roots = 0
+    if args.norm_op == "sacl":
+        # Each g^n, n <= nmax, pairs every automorphism with its 2nm root
+        # powers, g being an m-th power; the rest of the pool is shared.
+        roots = primitive_root(w)[1] * max(args.nmax, 0) * (args.nmax + 1)
     if args.norm_op in ("acl", "sacl"):
-        _check_search_size(w.rank, args.pool_depth, args.elem_len, lambda a, n: (a + n) * n)
+        _check_search_size(
+            w.rank, args.pool_depth, args.elem_len, lambda a, n: (a + n) * (n + roots)
+        )
     elif args.norm_op == "cl":
         _check_search_size(w.rank, 0, args.len_cap, lambda _, n: (n + 1) ** 2)
     if args.norm_op == "bfs":
         gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
         if args.group != "none":
             gens = list(orbit_closure(gens, parse_group(args.group, w.rank)))
+        # The forward ball: |gens|^d words at each depth d <= ceil(cutoff / 2).
+        _check_size(_series(1, len(set(gens)), (args.cutoff + 1) // 2 + 1))
         result = bfs_norm(w, gens, args.cutoff)
         emit({"op": "norm.bfs", **_norm_record(result)})
     elif args.norm_op == "acl":

@@ -185,7 +185,8 @@ def normal_form(graph: VertexGraph, raw: Sequence[tuple[int, int]]) -> GPWord:
     are identical.
     """
     x = object.__new__(GPWord)
-    x.__dict__.update(graph=graph, syllables=_normalise(graph, raw))
+    object.__setattr__(x, "graph", graph)  # no __dict__ write: see words._trusted
+    object.__setattr__(x, "syllables", _normalise(graph, raw))
     return x
 
 

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automorphisms import (
     Automorphism,
     ad,
     apply,
-    autocommutator,
     composite_pool,
     identity_automorphism,
     is_finite_group,
@@ -30,6 +30,8 @@ from .automorphisms import (
 from .quasimorphisms import Quasimorphism
 from .words import (
     Word,
+    _reduce_letters,
+    _trusted,
     breadth_first,
     conjugate,
     enumerate_reduced_words,
@@ -185,66 +187,68 @@ def _autocommutator_base(
     shorts = tuple(u for u in enumerate_reduced_words(rank, elem_len) if u)
     autos = tuple(composite_pool(rank, pool_depth)) + tuple(ad(u) for u in shorts)
     pool: dict[Word, tuple[Automorphism, Word]] = {}
-    for phi in autos:
-        for h in shorts:
-            value = autocommutator(phi, h)
-            if value and value not in pool:
-                pool[value] = (phi, h)
-    return autos, shorts, MappingProxyType(pool), tuple(sorted(pool, key=Word.key))
+    values = _add_pairs(pool, autos, shorts, shorts)
+    return autos, shorts, MappingProxyType(pool), tuple(sorted(values, key=Word.key))
+
+
+def _add_pairs(
+    pool: dict, autos: Sequence[Automorphism], shorts: Sequence[Word], hs: Sequence[Word]
+) -> list[Word]:
+    """Add phi(h) h^-1 for phi in autos, then h in hs, to pool and return
+    the new values.  A value keeps its first pair; one already in pool is
+    earlier unless it comes from a later phi.  autos ends with ad(u) for u in
+    shorts: u h u^-1 h^-1 takes one pass over the letters."""
+    inner = len(autos) - len(shorts)
+    position = {id(phi): i for i, phi in enumerate(autos)}
+    inverses = [invert(h).letters for h in hs]
+    added = []
+    for i, phi in enumerate(autos):
+        u = shorts[i - inner].letters if i >= inner else ()
+        uinv = tuple(-l for l in reversed(u))
+        for h, q in zip(hs, inverses):
+            if i < inner:
+                letters = _reduce_letters(q, list(apply(phi, h).letters))
+            else:
+                letters = _reduce_letters(h.letters + uinv + q, list(u))
+            if not letters:
+                continue
+            value = _trusted(Word, h.rank, letters)
+            held = pool.get(value)
+            if held is None:
+                added.append(value)
+            elif position.get(id(held[0]), -1) <= i:
+                continue
+            pool[value] = (phi, h)
+    return added
 
 
 def _autocommutator_pool(
     g: Word, pool_depth: int, elem_len: int
-) -> tuple[dict[Word, tuple[Automorphism, Word]], list[Word]]:
-    """Candidate autocommutator values keyed by word, and their Word.key order.
+) -> tuple[dict[Word, tuple[Automorphism, Word]], tuple[Word, ...], list[Word]]:
+    """g's pool keyed by value, the cached values by Word.key, and g's own by length.
 
     The pool combines composites of elementary automorphisms up to
     pool_depth, inner automorphisms by short words, and transvections by
     conjugated root powers of the target (the shapes single-factor
     witnesses actually take).  Element candidates are short words plus
-    those same root powers.  A value keeps the first (automorphism,
-    element) pair in that order; only the pairs with a root power are
-    computed here, on top of the cached _autocommutator_base.
+    those same root powers (the ones longer than elem_len).  A value keeps
+    the first (automorphism, element) pair in that order; only the pairs
+    with a root power are computed here, on top of _autocommutator_base.
     """
     rank = g.rank
     autos, shorts, base, base_order = _autocommutator_base(rank, pool_depth, elem_len)
     roots = _root_powers(g)
-    extra = tuple(r for r in roots if r not in shorts)
     pool = base.copy()
-    added: list[Word] = []
-    position = {id(phi): i for i, phi in enumerate(autos)}
-    for i, phi in enumerate(autos):
-        for h in extra:
-            value = autocommutator(phi, h)
-            if not value:
-                continue
-            held = pool.get(value)
-            if held is None:
-                added.append(value)
-            elif position[id(held[0])] <= i:
-                continue
-            pool[value] = (phi, h)
-    # Root powers share g's support, so these transvections fix them and
-    # only the short words can give a value.
+    added = _add_pairs(pool, autos, shorts, [r for r in roots if len(r) > elem_len])
+    # Root powers share g's support, so the transvections of a letter x outside
+    # it fix them, and only the short words that use x can give a value.
+    outside = [x for x in range(1, rank + 1) if x not in g.support()]
+    uses = {x: [h for h in shorts if x in map(abs, h.letters)] for x in outside}
     for u in roots:
-        for x in range(1, rank + 1):
-            if x not in u.support():
-                phi = word_transvection(u, x)
-                for h in shorts:
-                    value = autocommutator(phi, h)
-                    if value and value not in pool:
-                        pool[value] = (phi, h)
-                        added.append(value)
-    # Splice the new values into the cached order instead of re-sorting it.
-    order: list[Word] = []
-    start = 0
-    for value in sorted(added, key=Word.key):
-        cut = bisect.bisect_left(base_order, value.key(), start, key=Word.key)
-        order.extend(base_order[start:cut])
-        order.append(value)
-        start = cut
-    order.extend(base_order[start:])
-    return pool, order
+        for x, hs in uses.items():
+            added += _add_pairs(pool, (word_transvection(u, x),), (), hs)
+    added.sort(key=len)
+    return pool, base_order, added
 
 
 @functools.cache
@@ -263,20 +267,22 @@ def _commutator_pool(rank: int, len_cap: int) -> tuple[Mapping, tuple[Word, ...]
 
 
 def _product_search(
-    pool: Mapping[Word, tuple], order: Sequence[Word], g: Word, k_max: int, kind: str
+    pool: Mapping[Word, tuple], order: Sequence[Word], added: Sequence[Word],
+    g: Word, k_max: int, kind: str,
 ) -> NormResult:
     """Least k <= k_max with g a product of k pool values.
 
-    order lists the pool's values by Word.key.  k = 1 and 2 search the
-    whole pool; deeper levels draw the leading factors from a bounded
-    subpool (shortest values first), which keeps the upper-bound
+    The pool's values are order and added, walked as _merged.  k = 1 and 2
+    search the whole pool; deeper levels draw the leading factors from a
+    bounded subpool (shortest values first), which keeps the upper-bound
     semantics while staying desk-sized.
     """
     if not g:
         return NormResult("exact", 0, k_max, ())
-    sub = order[:_SUBPOOL_SIZE]
     for k in range(1, k_max + 1):
-        found = _peel(pool, order if k <= 2 else sub, g, k)
+        if k == 3:
+            sub = list(itertools.islice(_merged(order, added), _SUBPOOL_SIZE))
+        found = _peel(pool, _merged(order, added) if k <= 2 else sub, g, k)
         if found is not None:
             return NormResult(
                 "exact", k, k_max, tuple(Factor(t, (kind, *pool[t])) for t in found)
@@ -284,9 +290,22 @@ def _product_search(
     return NormResult("cutoff", None, k_max, None)
 
 
+def _merged(order: Sequence[Word], added: Sequence[Word]) -> Iterator[Word]:
+    """order (by Word.key) and added (other words, by length) in Word.key order.
+    A length of added is sorted, and a word of it bisected, only when reached."""
+    rest, start = iter(order), 0
+    for _, run in itertools.groupby(added, len):
+        for value in sorted(run, key=Word.key):
+            cut = bisect.bisect_left(order, value.key(), start, key=Word.key)
+            yield from itertools.islice(rest, cut - start)
+            yield value
+            start = cut
+    yield from rest
+
+
 def _peel(
     pool: Mapping[Word, tuple],
-    sub: Sequence[Word],
+    sub: Iterable[Word],
     g: Word,
     k: int,
 ) -> Optional[tuple[Word, ...]]:
@@ -313,8 +332,8 @@ def acl_upper(
         raise ValueError("search parameters must be positive")
     if not g:
         return NormResult("exact", 0, k_max, ())
-    pool, order = _autocommutator_pool(g, pool_depth, elem_len)
-    return _product_search(pool, order, g, k_max, "autocommutator")
+    pool, order, added = _autocommutator_pool(g, pool_depth, elem_len)
+    return _product_search(pool, order, added, g, k_max, "autocommutator")
 
 
 def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
@@ -324,7 +343,7 @@ def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
     if not g:
         return NormResult("exact", 0, k_max, ())
     pool, order = _commutator_pool(g.rank, len_cap)
-    return _product_search(pool, order, g, k_max, "commutator")
+    return _product_search(pool, order, (), g, k_max, "commutator")
 
 
 def transvection_witness(g: Word, x_index: int, n: int) -> tuple[Automorphism, Word]:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import time
 from unittest import mock
 
 import pytest
@@ -662,6 +663,7 @@ def test_help_still_exits_zero(capsys):
 
 
 SEARCHES = {
+    "bfs": "bfs_norm",
     "acl": "acl_upper",
     "sacl": "sacl_estimate",
     "cl": "cl_upper",
@@ -708,6 +710,10 @@ def test_oversized_search_is_a_cutoff_before_building(capsys, argv):
         ["auto", "achiral", "--word", "ab"],
         ["auto", "achiral", "--word", "ab", "--depth", "6"],
         ["auto", "achiral", "--word", "abcd", "--depth", "2"],
+        ["auto", "achiral", "--word", "ab", "--kmax", "2000"],
+        ["norm", "sacl", "--word", "ab", "--nmax", "60"],
+        ["norm", "bfs", "--word", "abAB", "--gens", "a,b", "--group", "signed", "--cutoff", "6"],
+        ["norm", "bfs", "--word", "ab", "--gens", "a,b,ab", "--cutoff", "22"],
     ],
 )
 def test_searches_within_the_bound_run(capsys, argv):
@@ -716,3 +722,22 @@ def test_searches_within_the_bound_run(capsys, argv):
         assert main(argv) == 2
     search.assert_called_once()
     assert "cutoff" not in one_error_record(capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["auto", "achiral", "--word", "ab", "--depth", "0", "--kmax", "20000"],
+        ["norm", "sacl", "--nmax", "3000", "--word", "ab"],
+        ["norm", "bfs", "--word", "abABabAB", "--gens", "a,b,ab", "--cutoff", "40"],
+    ],
+    ids=["achiral-kmax", "sacl-nmax", "bfs-cutoff"],
+)
+def test_powers_and_balls_are_cut_off_at_once(capsys, argv):
+    # Unbounded before: the achiral powers and the balls ran out of memory
+    # and sacl ran for minutes.
+    started = time.perf_counter()
+    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=AssertionError):
+        assert main(argv) == 3
+    assert time.perf_counter() - started < 1
+    assert one_error_record(capsys)["cutoff"] is True

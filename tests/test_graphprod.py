@@ -263,7 +263,8 @@ class TestTrustedNormalForm:
             for z in (x, y, gp_multiply(x, y), gp_invert(x), gp_conjugate(x, y)):
                 checked = GPWord(graph, z.syllables)
                 assert checked == z and checked.syllables == z.syllables
-                assert hash(checked) == hash(z)
+                assert type(z.syllables) is tuple
+                assert hash(checked) == hash(z) and repr(checked) == repr(z)
 
     def test_projection_components_pass_the_validated_constructor(self):
         rng = random.Random(31)

@@ -16,10 +16,13 @@ from autqm.automorphisms import (
     word_transvection,
 )
 from autqm.norms import (
+    Factor,
+    NormResult,
     _autocommutator_base,
     _autocommutator_pool,
     _ball,
     _commutator_pool,
+    _merged,
     _root_powers,
     acl_upper,
     bfs_norm,
@@ -307,6 +310,13 @@ def pool_cases():
         (w([3], rank=3), 2, 2),
         (power(w([2, -3], rank=3), 3), 2, 2),
         (power(w([1, 2], rank=3), 2), 1, 2),
+        # ad(u) fixes the root powers that are powers of u: empty values
+        (power(w([1]), 4), 1, 3),
+        (power(w([1, 2]), 3), 1, 2),
+        # transvections by root powers that omit a letter skip the short
+        # words without that letter
+        (power(w([1, -2], rank=3), 2), 1, 2),
+        (power(w([2, 2, 1], rank=3), 2), 2, 2),
     ]
     for rank, pool_depth, elem_len in ((2, 1, 3), (2, 2, 2), (3, 1, 2)):
         for _ in range(6):
@@ -319,13 +329,13 @@ class TestPoolOracles:
     def test_autocommutator_pool_matches_oracle(self):
         replaced = 0
         for g, pool_depth, elem_len in pool_cases():
-            pool, order = _autocommutator_pool(g, pool_depth, elem_len)
+            pool, order, added = _autocommutator_pool(g, pool_depth, elem_len)
             oracle = oracle_autocommutator_pool(g, pool_depth, elem_len)
             assert pool.keys() == oracle.keys()
             assert {v: provenance(e) for v, e in pool.items()} == {
                 v: provenance(e) for v, e in oracle.items()
             }
-            assert order == sorted(oracle, key=Word.key)
+            assert list(_merged(order, added)) == sorted(oracle, key=Word.key)
             base = _autocommutator_base(g.rank, pool_depth, elem_len)[2]
             replaced += sum(v in base and pool[v] != base[v] for v in pool)
         # Some root-power pairs beat a cached pair to the same value, so
@@ -344,6 +354,19 @@ class TestPoolOracles:
             assert any(
                 g.rank == rank and len(_root_powers(g)) >= 4 for g, _, _ in cases
             )
+        # ad(u) sends a root power longer than elem_len to the empty value
+        assert any(
+            g.rank > 1 and multiply(u, r) == multiply(r, u)
+            for g, _, e in cases
+            for r in _root_powers(g)
+            if len(r) > e
+            for u in enumerate_reduced_words(g.rank, e)
+            if u
+        )
+        # a root power omits a letter, so its transvections skip words
+        assert any(
+            len(_root_powers(g)[0].support()) < g.rank for g, _, _ in cases if _root_powers(g)
+        )
 
     @pytest.mark.parametrize("rank, len_cap", [(1, 3), (2, 1), (2, 3), (3, 2)])
     def test_commutator_pool_matches_oracle(self, rank, len_cap):
@@ -351,6 +374,28 @@ class TestPoolOracles:
         oracle = oracle_commutator_pool(rank, len_cap)
         assert pool == oracle
         assert list(order) == sorted(oracle, key=Word.key)
+
+
+def oracle_product_search(pool, g, k_max, kind):
+    """The search over one eager Word.key order of the whole pool: k <= 2
+    walks all of it, deeper levels only its first 256 values."""
+    order = sorted(pool, key=Word.key)
+
+    def peel(sub, g, k):
+        if k == 1:
+            return (g,) if g in pool else None
+        for t in sub:
+            tail = peel(sub, multiply(invert(t), g), k - 1)
+            if tail is not None:
+                return (t,) + tail
+        return None
+
+    for k in range(1, k_max + 1):
+        found = peel(order if k <= 2 else order[:256], g, k)
+        if found is not None:
+            factors = tuple(Factor(t, (kind, *pool[t])) for t in found)
+            return NormResult("exact", k, k_max, factors)
+    return NormResult("cutoff", None, k_max, None)
 
 
 def canonical(result):
@@ -386,6 +431,48 @@ class TestPoolCaches:
         assert _autocommutator_base.cache_info().currsize == 2
         assert _commutator_pool.cache_info().misses == 2
         assert _commutator_pool.cache_info().currsize == 2
+
+
+class TestSubpoolSearch:
+    """k_max = 3 draws the leading factors from the first 256 merged values."""
+
+    ACL = [  # rank 2, pool_depth 1, elem_len 2: a pool of about 190 values
+        w([-1, 2, 2, -1, -2, -2, 1, -2, 1]),
+        w([-2, -2, 1, -2, 1, 1, -2, 1]),
+        w([-2, -2, -2, -1, -2, -1]),
+        w([2, 2, 2, -1, -2, 1, 2, 2, 1, 2, 2, 2]),
+        w([1, 2, 2, 2, 1, 2, 2, 2]),
+        w([1, 2, 1, 2, 2, 1]),
+    ]
+    CL = [  # rank 2, len_cap 3: a pool of 1488 values
+        w([2, 1, 2, -1, -2, 1, 1, 2, -1, -2, -2, -2, -1, 2]),
+        w([-1, 2, 2, -1, -2, -2, 1, 1, 2, -1, -2, -1, 2, 1, 1, 1, 1, -2, -1, -1]),
+    ]
+
+    def test_acl_upper_matches_the_oracle(self):
+        leading_added = 0
+        for g in self.ACL:
+            result = acl_upper(g, pool_depth=1, elem_len=2, k_max=3)
+            pool = oracle_autocommutator_pool(g, 1, 2)
+            assert canonical(result) == canonical(
+                oracle_product_search(pool, g, 3, "autocommutator")
+            )
+            added = set(_autocommutator_pool(g, 1, 2)[2])
+            leading_added += any(f.value in added for f in (result.witness or ())[:-1])
+        assert [acl_upper(g, 1, 2, 3).value for g in self.ACL] == [3, 3, 3, None, 3, 3]
+        # The subpool holds values added for the target, and witnesses lead
+        # with them.
+        assert leading_added >= 1
+
+    def test_cl_upper_matches_the_oracle(self):
+        pool = oracle_commutator_pool(2, 3)
+        assert len(pool) > 256
+        for g in self.CL:
+            result = cl_upper(g, len_cap=3, k_max=3)
+            assert result.value == 3
+            assert canonical(result) == canonical(
+                oracle_product_search(pool, g, 3, "commutator")
+            )
 
 
 class TestClUpper:
