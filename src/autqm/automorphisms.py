@@ -10,12 +10,13 @@ build tables that are correct by construction and skip that check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .words import (
-    Word, _trusted, breadth_first, invert as invert_word, is_conjugate, multiply,
-    power, substitute,
+    Word, _series, _trusted, breadth_first, check_size, invert as invert_word,
+    is_conjugate, multiply, power, substitute,
 )
 
 
@@ -241,7 +242,8 @@ def word_transvection(u: Word, j: int, side: str = "left") -> Automorphism:
     for table, v in ((images, u), (inverse_images, invert_word(u))):
         table[j - 1] = multiply(v, x) if side == "left" else multiply(x, v)
     parts = []
-    letters = u.letters if side == "left" else tuple(reversed(u.letters))
+    # Composites apply right to left: the letter next to x_j comes first.
+    letters = tuple(reversed(u.letters)) if side == "left" else u.letters
     for l in letters:
         w = AutoWitness("transvection", (abs(l), j, side))
         parts.append(w if l > 0 else w.inverse())
@@ -296,13 +298,20 @@ def signed_permutations(rank: int) -> list[Automorphism]:
     return autos
 
 
+def composite_count(rank: int, depth: int) -> int:
+    """Most automorphisms composite_pool(rank, depth) builds: e elementary, e**d of depth d."""
+    e = math.factorial(min(rank, 10)) - 1 + rank * (2 * rank - 1)  # 10! is past every cap
+    return e + _series(e, e, depth)
+
+
 def composite_pool(rank: int, depth: int) -> list[Automorphism]:
     """Composites of at most `depth` elementary automorphisms.
 
     Breadth-first by depth, deduplicated by basis-image table; within each
     depth the discovery order follows the canonical elementary order, so
-    the returned list is deterministic.
+    the returned list is deterministic.  Its composite_count is checked.
     """
+    check_size(composite_count(rank, depth))
     elems = elementary_automorphisms(rank)
     search = breadth_first(
         identity_automorphism(rank),
@@ -320,12 +329,15 @@ def achirality_search(
     Searches composites of elementary automorphisms breadth-first up to
     the given depth and returns the first witness in canonical order
     (least depth, then elementary order, then least k).  Returning None
-    proves nothing: this is a semi-decision for achirality only.
+    proves nothing: this is a semi-decision for achirality only.  Checks
+    composite_count * k_max tests and the k_max (k_max + 1) |g| power letters.
     """
     if not g:
         raise ValueError("achirality is about nontrivial elements")
     if k_max < 1 or depth < 0:
         raise ValueError(f"need k_max >= 1 and depth >= 0, got {k_max} and {depth}")
+    check_size(k_max * (k_max + 1) * len(g), letters=True)
+    check_size(composite_count(g.rank, depth) * k_max)
     powers = {k: (power(g, k), power(g, -k)) for k in range(1, k_max + 1)}
     for phi in composite_pool(g.rank, depth):
         for k in range(1, k_max + 1):

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -56,43 +55,11 @@ from .whitehead import (
     minimize,
     whitehead_graph,
 )
-from .words import (
-    CutoffExceeded, Word, cyclic_reduce, invert, is_conjugate, multiply, power,
-    primitive_root, reduce,
-)
+from .words import CutoffExceeded, Word, cyclic_reduce, invert, is_conjugate, multiply, power, reduce
 
 
 class InputError(ValueError):
     pass
-
-
-# Most letters the powers of `word pow` or `auto achiral` take; more is a
-# cutoff, not an allocation.
-MAX_POWER_LETTERS = 10**7
-# Most automorphisms and candidate pairs a `norm acl`, `sacl`, `cl` or `auto
-# achiral` search builds, or words a `norm bfs` ball holds, bounded from the
-# parameters; more is a cutoff.
-MAX_SEARCH_SIZE = 3 * 10**5
-
-
-def _series(first: int, ratio: int, terms: int) -> int:
-    # first * (1 + ratio + ... + ratio**(terms - 1)), exact up to 40 terms
-    terms = max(terms, 0)
-    return first * terms if ratio == 1 else first * (ratio ** min(terms, 40) - 1) // (ratio - 1)
-
-
-def _check_search_size(rank: int, depth: int, length: int, size) -> None:
-    """Cut off unless size(autos, words) fits the cap: autos bounds the
-    automorphisms composite_pool(rank, depth) builds, words the nonempty
-    reduced words up to the length."""
-    elementary = math.factorial(min(rank, 10)) - 1 + rank * (2 * rank - 1)  # 10! > cap
-    autos = elementary + _series(elementary, elementary, depth)
-    _check_size(size(autos, _series(2 * rank, 2 * rank - 1, length)))
-
-
-def _check_size(size: int) -> None:
-    if size > MAX_SEARCH_SIZE:
-        raise CutoffExceeded(f"search would build more than {MAX_SEARCH_SIZE} candidates", 0)
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -313,8 +280,6 @@ def cmd_word(args) -> int:
         emit({"op": "word.inv", "value": format_word(invert(parse_word(args.word, rank)))})
     elif args.word_op == "pow":
         w = parse_word(args.word, rank)
-        if abs(args.exponent) * len(w) > MAX_POWER_LETTERS:
-            raise CutoffExceeded(f"power would exceed {MAX_POWER_LETTERS} letters", 0)
         emit({"op": "word.pow", "value": format_word(power(w, args.exponent))})
     elif args.word_op == "cyc":
         core, conj = cyclic_reduce(parse_word(args.word, rank))
@@ -349,10 +314,6 @@ def cmd_auto(args) -> int:
         emit({"op": "auto.autocomm", "value": format_word(autocommutator(phi, w))})
     elif args.auto_op == "achiral":
         w = parse_word(args.word, rank)
-        _check_search_size(w.rank, args.depth, 0, lambda autos, _: autos * args.kmax)
-        # g^k and g^-k for every k <= kmax take kmax (kmax + 1) |g| letters.
-        if max(args.kmax, 0) * (args.kmax + 1) * len(w) > MAX_POWER_LETTERS:
-            raise CutoffExceeded(f"powers would exceed {MAX_POWER_LETTERS} letters", 0)
         found = achirality_search(w, args.kmax, args.depth)
         if found is None:
             emit({"op": "auto.achiral", "found": False})
@@ -473,23 +434,10 @@ def _as_tuples(obj):
 
 def cmd_norm(args) -> int:
     w = parse_word(args.word, args.rank)
-    roots = 0
-    if args.norm_op == "sacl":
-        # Each g^n, n <= nmax, pairs every automorphism with its 2nm root
-        # powers, g being an m-th power; the rest of the pool is shared.
-        roots = primitive_root(w)[1] * max(args.nmax, 0) * (args.nmax + 1)
-    if args.norm_op in ("acl", "sacl"):
-        _check_search_size(
-            w.rank, args.pool_depth, args.elem_len, lambda a, n: (a + n) * (n + roots)
-        )
-    elif args.norm_op == "cl":
-        _check_search_size(w.rank, 0, args.len_cap, lambda _, n: (n + 1) ** 2)
     if args.norm_op == "bfs":
         gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
         if args.group != "none":
             gens = list(orbit_closure(gens, parse_group(args.group, w.rank)))
-        # The forward ball: |gens|^d words at each depth d <= ceil(cutoff / 2).
-        _check_size(_series(1, len(set(gens)), (args.cutoff + 1) // 2 + 1))
         result = bfs_norm(w, gens, args.cutoff)
         emit({"op": "norm.bfs", **_norm_record(result)})
     elif args.norm_op == "acl":

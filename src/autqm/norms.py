@@ -5,7 +5,8 @@ finite generating sets.  Autocommutator and commutator length searches
 return upper bounds with replayable witnesses: their generating sets are
 infinite, so a finite search can fail to find the optimum but can never
 undershoot it.  The only unconditional lower bounds are 0 and 1, plus the
-duality bounds derived from invariant quasimorphisms.
+duality bounds derived from invariant quasimorphisms.  Each search counts
+its pairs or ball words from its arguments first (words.check_size).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .automorphisms import (
     Automorphism,
     ad,
     apply,
+    composite_count,
     composite_pool,
     identity_automorphism,
     is_finite_group,
@@ -32,8 +34,11 @@ from .words import (
     Word,
     _reduce_letters,
     _trusted,
+    _series,
     breadth_first,
+    check_size,
     conjugate,
+    count_reduced,
     enumerate_reduced_words,
     identity,
     invert,
@@ -96,6 +101,7 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     rank = g.rank
     if any(s.rank != rank for s in gens):
         raise ValueError("generating set and target must share a rank")
+    check_size(_series(1, len(set(gens)), (cutoff + 1) // 2 + 1))
     gens = sorted({s for s in gens if s}, key=Word.key)
     if not g:
         return NormResult("exact", 0, cutoff, ())
@@ -162,9 +168,7 @@ def _path(depth: dict, parent: dict, w: Word) -> list[Word]:
 
 def _root_powers(g: Word) -> list[Word]:
     """Conjugated powers of the primitive root of g, natural witness guesses."""
-    root, m, t = primitive_root(g)
-    if m == 0:
-        return []
+    root, m, t = primitive_root(g)  # m is 0 for the empty word
     out = []
     for j in range(1, m + 1):
         for sign in (1, -1):
@@ -189,6 +193,17 @@ def _autocommutator_base(
     pool: dict[Word, tuple[Automorphism, Word]] = {}
     values = _add_pairs(pool, autos, shorts, shorts)
     return autos, shorts, MappingProxyType(pool), tuple(sorted(values, key=Word.key))
+
+
+def _pool_pairs(g: Word, pool_depth: int, elem_len: int) -> tuple[int, int, int]:
+    """At most how many pairs the base pool builds, and how many g's pool adds
+    to it: g's 2m root powers (g an m-th power) with each automorphism, and
+    their transvections of each x outside g with the short words using x."""
+    shorts = count_reduced(g.rank, elem_len) - 1
+    autos = composite_count(g.rank, pool_depth) + shorts
+    using = shorts + 1 - count_reduced(g.rank - 1, elem_len)
+    roots = 2 * primitive_root(g)[1]
+    return autos * shorts, roots * autos, roots * (g.rank - len(g.support())) * using
 
 
 def _add_pairs(
@@ -235,6 +250,8 @@ def _autocommutator_pool(
     the first (automorphism, element) pair in that order; only the pairs
     with a root power are computed here, on top of _autocommutator_base.
     """
+    base_pairs, *own_pairs = _pool_pairs(g, pool_depth, elem_len)
+    check_size(max(base_pairs, sum(own_pairs)))
     rank = g.rank
     autos, shorts, base, base_order = _autocommutator_base(rank, pool_depth, elem_len)
     roots = _root_powers(g)
@@ -256,6 +273,7 @@ def _commutator_pool(rank: int, len_cap: int) -> tuple[Mapping, tuple[Word, ...]
     """Commutators [u, v] of words up to len_cap keyed by value (first pair
     wins), read-only, and the values sorted by Word.key.  Built once per
     parameter set."""
+    check_size(count_reduced(rank, len_cap) ** 2)
     pool: dict[Word, tuple[Word, Word]] = {}
     shorts = list(enumerate_reduced_words(rank, len_cap))
     for u in shorts:
@@ -330,8 +348,6 @@ def acl_upper(
     """
     if min(pool_depth, elem_len, k_max) < 1:
         raise ValueError("search parameters must be positive")
-    if not g:
-        return NormResult("exact", 0, k_max, ())
     pool, order, added = _autocommutator_pool(g, pool_depth, elem_len)
     return _product_search(pool, order, added, g, k_max, "autocommutator")
 
@@ -340,8 +356,6 @@ def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
     """Upper bound for commutator length with both entries capped in length."""
     if min(len_cap, k_max) < 1:
         raise ValueError("search parameters must be positive")
-    if not g:
-        return NormResult("exact", 0, k_max, ())
     pool, order = _commutator_pool(g.rank, len_cap)
     return _product_search(pool, order, (), g, k_max, "commutator")
 
@@ -401,6 +415,10 @@ def sacl_estimate(
     """Bracket stable autocommutator length by power search and duality."""
     if n_max < 1:
         raise ValueError("n_max must be positive")
+    # g^n has n times g's own pairs: the powers' root pairs share one base, the
+    # last power's pool is the largest, and each power is one search at least.
+    base, roots, transvections = _pool_pairs(g, pool_depth, elem_len)
+    check_size(max(base + n_max * (n_max + 1) // 2 * roots, n_max * (1 + roots + transvections)))
     upper: Optional[Fraction] = None
     trace = []
     for n in range(1, n_max + 1):

@@ -222,6 +222,7 @@ def power(u: Word, k: int) -> Word:
     >>> power(reduce([1], 2), -2).letters
     (-1, -1)
     """
+    check_size(abs(k) * len(u), letters=True)
     if k == 0 or not u:
         return identity(u.rank)
     if k < 0:
@@ -266,11 +267,25 @@ def primitive_root(u: Word) -> tuple[Word, int, Word]:
 
 
 class CutoffExceeded(RuntimeError):
-    """A search hit its resource cutoff; partial results are not usable."""
+    """A search would pass its size cap, so nothing of it was built."""
 
-    def __init__(self, message: str, partial_size: int):
-        super().__init__(message)
-        self.partial_size = partial_size
+
+MAX_POWER_LETTERS = 10**7
+MAX_SEARCH_SIZE = 3 * 10**5
+
+
+def check_size(size: int, letters: bool = False) -> None:
+    """Raise CutoffExceeded unless size, counted before a search builds anything,
+    is at most MAX_SEARCH_SIZE candidates (MAX_POWER_LETTERS power letters)."""
+    cap, what = (MAX_POWER_LETTERS, "letters") if letters else (MAX_SEARCH_SIZE, "candidates")
+    if size > cap:
+        raise CutoffExceeded(f"search would build more than {cap} {what}")
+
+
+def _series(first: int, ratio: int, terms: int) -> int:
+    # first * (1 + ratio + ... + ratio**(terms - 1)), exact up to 40 terms, past every cap beyond
+    terms = max(terms, 0)
+    return first * terms if ratio == 1 else first * (ratio ** min(terms, 40) - 1) // (ratio - 1)
 
 
 def breadth_first(root, neighbours, radius=None, order=None) -> Iterator[tuple]:
@@ -332,6 +347,11 @@ def enumerate_reduced(rank: int, max_len: int) -> Iterator[tuple[int, ...]]:
                 nxt.append(w + (l,))
         yield from nxt
         layer = nxt
+
+
+def count_reduced(rank: int, max_len: int) -> int:
+    """How many tuples enumerate_reduced(rank, max_len) yields."""
+    return 1 + _series(2 * rank, 2 * rank - 1, max_len)
 
 
 def enumerate_reduced_words(rank: int, max_len: int) -> Iterator[Word]:

@@ -7,7 +7,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from autqm.cli import main, parse_auto_chain, parse_group, parse_word
+from autqm import norms as _norms
+from autqm.automorphisms import AutoWitness
+from autqm.cli import format_word, main, parse_auto_chain, parse_group, parse_word
 
 
 def run_cli(capsys, *argv):
@@ -662,13 +664,20 @@ def test_help_still_exits_zero(capsys):
     assert "usage" in capsys.readouterr().out
 
 
-SEARCHES = {
-    "bfs": "bfs_norm",
-    "acl": "acl_upper",
-    "sacl": "sacl_estimate",
-    "cl": "cl_upper",
-    "achiral": "achirality_search",
+# The step each search takes right after its size check.  Patched to stop
+# there, it shows that an argv got past the check without the search
+# running (some of these run for minutes).
+NEXT_STEP = {
+    "bfs": "autqm.norms._ball",
+    "acl": "autqm.norms._autocommutator_base",
+    "sacl": "autqm.norms._autocommutator_base",
+    "cl": "autqm.norms.enumerate_reduced_words",
+    "achiral": "autqm.automorphisms.power",
 }
+
+
+class Reached(Exception):
+    pass
 
 
 @pytest.mark.parametrize(
@@ -686,12 +695,17 @@ SEARCHES = {
         ["auto", "achiral", "--word", "ab", "--depth", "7"],
         ["auto", "achiral", "--word", "ab", "--depth", "6", "--kmax", "3"],
         ["auto", "achiral", "--word", "ab", "--rank", "1000000000"],
+        ["norm", "sacl", "--word", "", "--nmax", "100000000"],
+        ["norm", "cl", "--word", "", "--len-cap", "8"],
     ],
 )
 def test_oversized_search_is_a_cutoff_before_building(capsys, argv):
-    # The search itself must not start: each of these runs for minutes.
-    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=AssertionError):
-        assert main(argv) == 3
+    # Nothing is mocked: the search counts its size before it builds
+    # anything, and each of these would run for minutes.
+    _norms._commutator_pool.cache_clear()
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 1
     assert one_error_record(capsys)["cutoff"] is True
 
 
@@ -718,10 +732,16 @@ def test_oversized_search_is_a_cutoff_before_building(capsys, argv):
 )
 def test_searches_within_the_bound_run(capsys, argv):
     # The defaults up to rank 4 and the largest sizes under the bound.
-    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=ValueError) as search:
-        assert main(argv) == 2
-    search.assert_called_once()
-    assert "cutoff" not in one_error_record(capsys)
+    _norms._commutator_pool.cache_clear()  # a cached pool skips its check
+    with mock.patch(NEXT_STEP[argv[1]], side_effect=Reached) as step:
+        if "--elem-len" in argv and argv[-1] == "0":
+            # Bad input, reported as such before any size is counted.
+            assert main(argv) == 2
+            assert "cutoff" not in one_error_record(capsys)
+            return
+        with pytest.raises(Reached):
+            main(argv)
+    step.assert_called_once()
 
 
 @pytest.mark.parametrize(
@@ -735,9 +755,81 @@ def test_searches_within_the_bound_run(capsys, argv):
 )
 def test_powers_and_balls_are_cut_off_at_once(capsys, argv):
     # Unbounded before: the achiral powers and the balls ran out of memory
-    # and sacl ran for minutes.
+    # and sacl ran for minutes.  Nothing is mocked.
     started = time.perf_counter()
-    with mock.patch(f"autqm.cli.{SEARCHES[argv[1]]}", side_effect=AssertionError):
-        assert main(argv) == 3
+    assert main(argv) == 3
     assert time.perf_counter() - started < 1
     assert one_error_record(capsys)["cutoff"] is True
+
+
+def test_transvection_witness_builds_the_printed_automorphism(capsys):
+    # Its root powers BBCC and ccbb are multipliers of word transvections.
+    record = run_one(capsys, "norm", "acl", "--word", "BBCC")
+    autos = [f["auto"] for f in record["witness"]]
+    assert any(len(a["images"][0]) > 2 for a in autos)
+    for auto in autos:
+        built = AutoWitness.from_obj(auto["witness"]).build(3)
+        assert [format_word(w) for w in built.images] == auto["images"]
+        assert [format_word(w) for w in built.inverse_images] == auto["inverse_images"]
+
+
+def _argv_word(draw, rank):
+    letters = "abc"[:rank] + "ABC"[:rank]
+    return draw(st.text(alphabet=letters, max_size=6))
+
+
+# Past every cap as a depth, a length, a count or an exponent.
+HUGE = st.sampled_from([10**8, 10**12])
+
+
+def small_or_huge(low, high):
+    # Mostly valid values, some invalid ones (0, -1) and a few huge ones.
+    valid = st.integers(min_value=max(low, 1), max_value=high)
+    return st.one_of(*[valid] * 6, st.integers(min_value=low, max_value=0), HUGE)
+
+
+@st.composite
+def cli_argv(draw):
+    rank = draw(st.integers(min_value=1, max_value=3))
+    word = _argv_word(draw, rank)
+    rank_opt = draw(st.sampled_from([[], ["--rank", str(rank)]]))
+    command = draw(st.sampled_from(["acl", "sacl", "cl", "bfs", "achiral", "pow"]))
+
+    def opt(name, low, high):
+        return [name, str(draw(small_or_huge(low, high)))]
+
+    if command == "pow":
+        return ["word", "pow", word, str(draw(small_or_huge(-4, 4)))] + rank_opt
+    if command == "achiral":
+        argv = ["auto", "achiral", "--word", word] + opt("--kmax", 0, 4) + opt("--depth", -1, 2)
+        return argv + rank_opt
+    argv = ["norm", command, "--word", word]
+    # A product search's work grows as a power of --kmax: it stays small.
+    kmax = ["--kmax", str(draw(st.sampled_from([0, 1, 1, 2, 2, 2])))]
+    if command == "bfs":
+        gens = [_argv_word(draw, rank) for _ in range(draw(st.integers(1, 3)))]
+        group = draw(st.sampled_from(["none", "trivial", "signed"]))
+        argv += ["--gens", ",".join(gens), "--group", group] + opt("--cutoff", -1, 10)
+    elif command == "cl":
+        argv += opt("--len-cap", 0, 2) + kmax
+    else:
+        argv += opt("--pool-depth", 0, 2) + opt("--elem-len", 0, 2) + kmax
+        if command == "sacl":
+            argv += opt("--nmax", 0, 4)
+    return argv + rank_opt
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_fuzzed_search_argv_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err.getvalue()
+        assert json.loads(lines[0]).get("cutoff", False) is (code == 3)
+    else:
+        assert len(out.getvalue().splitlines()) == 1

@@ -1,0 +1,114 @@
+"""Each bounded search counts its own size from its arguments.
+
+With the cap set to a search's size, the search runs; one below it, the
+search raises CutoffExceeded before building anything.  The counts do not
+depend on the cached pools, so a cold and a warm call end the same way.
+"""
+
+from unittest import mock
+
+import pytest
+
+from autqm import words
+from autqm.automorphisms import achirality_search, composite_pool
+from autqm.norms import (
+    _autocommutator_base,
+    _commutator_pool,
+    acl_upper,
+    bfs_norm,
+    cl_upper,
+    sacl_estimate,
+)
+from autqm.words import CutoffExceeded, Word, power
+
+A, B, AB = Word(2, (1,)), Word(2, (2,)), Word(2, (1, 2))
+A40 = power(A, 40)
+EMPTY = Word(2, ())
+
+# (cap, size, call).  At rank 2, composite_count(2, 1) is 7 + 7 = 14 and
+# count_reduced(2, 1) is 5.  The base pool of depth 1 and short words of
+# length 1 pairs 14 + 4 automorphisms with 4 words, 72 pairs; a target
+# adds 2m root powers with each of the 18 automorphisms, and for each
+# letter it omits, 2m transvections with the 2 short words using it.
+SEARCHES = {
+    "power": ("MAX_POWER_LETTERS", 6, lambda: power(AB, -3)),
+    "composite_pool": ("MAX_SEARCH_SIZE", 14, lambda: composite_pool(2, 1)),
+    "achirality_tests": ("MAX_SEARCH_SIZE", 14 * 2, lambda: achirality_search(AB, 2, 1)),
+    # g^k and g^-k for k <= 2: 2 * (2 + 4) letters.
+    "achirality_powers": ("MAX_POWER_LETTERS", 12, lambda: achirality_search(AB, 2, 1)),
+    "autocommutator_base": ("MAX_SEARCH_SIZE", 72, lambda: acl_upper(AB, 1, 1)),
+    # a^40: 80 root powers with 18 automorphisms, 80 transvections with 2 words.
+    "autocommutator_pool": ("MAX_SEARCH_SIZE", 80 * 18 + 80 * 2, lambda: acl_upper(A40, 1, 1)),
+    "commutator_pool": ("MAX_SEARCH_SIZE", 5 * 5, lambda: cl_upper(AB, 1)),
+    # The forward ball of radius 2 over two generators: 1 + 2 + 4 words.
+    "bfs_norm": ("MAX_SEARCH_SIZE", 7, lambda: bfs_norm(AB, [A, B], 4)),
+    # The base once, then (1 + 2) times ab's 2 root powers with 18 automorphisms.
+    "sacl_powers": ("MAX_SEARCH_SIZE", 72 + 3 * 36, lambda: sacl_estimate(AB, 2, 1, 1)),
+    # a^40's one power: its search and its own pairs count the most.
+    "sacl_last_power": ("MAX_SEARCH_SIZE", 1 + 1600, lambda: sacl_estimate(A40, 1, 1, 1)),
+    # The empty word has no pairs of its own, but each power is a search.
+    "sacl_searches": ("MAX_SEARCH_SIZE", 100, lambda: sacl_estimate(EMPTY, 100, 1, 1)),
+}
+
+
+def outcome(call):
+    try:
+        return call()
+    except CutoffExceeded:
+        return CutoffExceeded
+
+
+def cold(call):
+    _autocommutator_base.cache_clear()
+    _commutator_pool.cache_clear()
+    return outcome(call)
+
+
+@pytest.fixture(autouse=True)
+def clear_pools():
+    yield
+    _autocommutator_base.cache_clear()
+    _commutator_pool.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(SEARCHES))
+def test_a_search_of_the_cap_runs_and_one_past_it_is_a_cutoff(monkeypatch, name):
+    cap, size, call = SEARCHES[name]
+    monkeypatch.setattr(words, cap, size)
+    first = cold(call)
+    assert first is not CutoffExceeded
+    assert outcome(call) == first  # warm
+    monkeypatch.setattr(words, cap, size - 1)
+    assert cold(call) is CutoffExceeded
+    assert outcome(call) is CutoffExceeded
+
+
+def test_a_warm_base_pool_does_not_skip_the_check(monkeypatch):
+    acl_upper(AB, 1, 1)  # built under the real cap
+    monkeypatch.setattr(words, "MAX_SEARCH_SIZE", 71)
+    with pytest.raises(CutoffExceeded):
+        acl_upper(AB, 1, 1)
+
+
+def test_the_empty_word_counts_its_pools_too(monkeypatch):
+    monkeypatch.setattr(words, "MAX_SEARCH_SIZE", 71)
+    for call in (lambda: acl_upper(EMPTY, 1, 1), lambda: sacl_estimate(EMPTY, 3, 1, 1)):
+        assert cold(call) is CutoffExceeded
+    monkeypatch.setattr(words, "MAX_SEARCH_SIZE", 72)
+    assert acl_upper(EMPTY, 1, 1).value == 0
+
+
+@pytest.mark.parametrize(
+    "step, size, call",
+    [
+        ("_autocommutator_base", 1600, lambda: acl_upper(A40, 1, 1)),
+        # a^40's one power has 1600 pairs of its own, more than 72 + 1440.
+        ("acl_upper", 1 + 1600, lambda: sacl_estimate(A40, 1, 1, 1)),
+    ],
+    ids=["autocommutator_pool", "sacl_estimate"],
+)
+def test_the_check_comes_before_the_first_step(monkeypatch, step, size, call):
+    monkeypatch.setattr(words, "MAX_SEARCH_SIZE", size - 1)
+    with mock.patch(f"autqm.norms.{step}", side_effect=AssertionError):
+        with pytest.raises(CutoffExceeded):
+            call()

@@ -105,7 +105,9 @@ class TestTrustedAutomorphisms:
             assert_passes_public_check(x)
             assert x.witness.build(rank) == x
         for side in ("left", "right"):
-            assert_passes_public_check(word_transvection(free, j, side))
+            x = word_transvection(free, j, side)
+            assert_passes_public_check(x)
+            assert x.witness.build(rank) == x
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     def test_named_generators_and_signed_permutations(self, rank):
