@@ -279,8 +279,9 @@ def signed_permutations(rank: int) -> list[Automorphism]:
 
     Each sends x_i to x_{p_i} or its inverse; this is the stabilizer of
     the set of signed generators and the default finite group for
-    averaging and orbit-closure constructions.
+    averaging and orbit-closure constructions.  Their count is checked.
     """
+    check_size(math.factorial(min(rank, 10)) << min(rank, 10))  # 2^10 * 10! is past every cap
     autos = []
     for perm in itertools.permutations(range(1, rank + 1)):
         back = [perm.index(k) + 1 for k in range(1, rank + 1)]

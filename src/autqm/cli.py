@@ -4,8 +4,11 @@ Words use the compact letter syntax at this boundary only: a-z are the
 generators, A-Z their inverses ("abA" is a * b * a^-1).  Automorphisms
 are chains of named elementary maps applied left to right, e.g.
 "lt(1,2);inv(1);ad(ab)".  Rationals print as p/q in lowest terms.
+Each command is one handler, registered by @command with its path and
+options; make_parser builds the tree, and main adds the record's "op".
 Exit codes: 0 success, 1 verification violation, 2 bad input, 3 resource
-cutoff.
+cutoff.  `qm defect --exact --homog` is bad input; a signed group, a
+product-search level or a `norm bfs` ball past its size cap is a cutoff.
 """
 
 from __future__ import annotations
@@ -229,10 +232,6 @@ def format_gp_word(x: gp.GPWord) -> str:
     return " ".join(f"{v}^{e}" for v, e in x.syllables) or "e"
 
 
-def emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True))
-
-
 def _counting_qm(pattern: Word, homog: bool):
     """The counting quasimorphism of the pattern, homogenised if asked."""
     return brooks_homogeneous(pattern) if homog else brooks(pattern)
@@ -268,161 +267,6 @@ def _norm_record(result) -> dict:
     return record
 
 
-def cmd_word(args) -> int:
-    rank = args.rank
-    if args.word_op == "reduce":
-        w = parse_word(args.word, rank)
-        emit({"op": "word.reduce", "input": args.word, "value": format_word(w)})
-    elif args.word_op == "mul":
-        u, v = parse_word_pair(args.left, args.right, rank)
-        emit({"op": "word.mul", "value": format_word(multiply(u, v))})
-    elif args.word_op == "inv":
-        emit({"op": "word.inv", "value": format_word(invert(parse_word(args.word, rank)))})
-    elif args.word_op == "pow":
-        w = parse_word(args.word, rank)
-        emit({"op": "word.pow", "value": format_word(power(w, args.exponent))})
-    elif args.word_op == "cyc":
-        core, conj = cyclic_reduce(parse_word(args.word, rank))
-        emit(
-            {
-                "op": "word.cyc",
-                "core": format_word(core.as_word()),
-                "conjugator": format_word(conj),
-            }
-        )
-    elif args.word_op == "conj":
-        u, v = parse_word_pair(args.left, args.right, rank)
-        emit({"op": "word.conj", "value": is_conjugate(u, v)})
-    return 0
-
-
-def cmd_auto(args) -> int:
-    rank = args.rank
-    if args.auto_op == "apply":
-        w = parse_word(args.word, rank)
-        phi = parse_auto_chain(args.auto, w.rank)
-        emit({"op": "auto.apply", "value": format_word(apply(phi, w))})
-    elif args.auto_op == "compose":
-        phi = parse_auto_chain(args.auto, 2 if rank is None else rank)
-        emit({"op": "auto.compose", **auto_record(phi)})
-    elif args.auto_op == "ad":
-        w = parse_word(args.word, rank)
-        emit({"op": "auto.ad", **auto_record(ad(w))})
-    elif args.auto_op == "autocomm":
-        w = parse_word(args.word, rank)
-        phi = parse_auto_chain(args.auto, w.rank)
-        emit({"op": "auto.autocomm", "value": format_word(autocommutator(phi, w))})
-    elif args.auto_op == "achiral":
-        w = parse_word(args.word, rank)
-        found = achirality_search(w, args.kmax, args.depth)
-        if found is None:
-            emit({"op": "auto.achiral", "found": False})
-        else:
-            phi, k = found
-            emit({"op": "auto.achiral", "found": True, "k": k, **auto_record(phi)})
-    return 0
-
-
-def cmd_wh(args) -> int:
-    w = parse_word(args.word, args.rank)
-    if args.wh_op == "min":
-        minimal, trace = minimize(w)
-        emit(
-            {
-                "op": "wh.min",
-                "value": format_word(minimal),
-                "length": len(minimal),
-                "trace": [
-                    {"auto": auto_record(phi), "result": format_word(result)}
-                    for phi, result in trace
-                ],
-            }
-        )
-    elif args.wh_op == "primitive":
-        emit({"op": "wh.primitive", "value": is_primitive(w)})
-    elif args.wh_op == "freefactor":
-        emit({"op": "wh.freefactor", "value": in_proper_free_factor(w)})
-    elif args.wh_op == "graph":
-        graph = whitehead_graph(cyclic_reduce(w)[0].as_word())
-        emit(
-            {
-                "op": "wh.graph",
-                "edges": [[format_word(Word(w.rank, (x,))), format_word(Word(w.rank, (y,)))] for x, y in graph.edges],
-                "connected": graph.connected,
-                "has_cut_vertex": graph.has_cut_vertex,
-            }
-        )
-    return 0
-
-
-def cmd_qm(args) -> int:
-    if args.qm_op in ("brooks", "homog"):
-        f = _counting_qm(parse_word(args.pattern), args.qm_op == "homog")
-        emit({"op": f"qm.{args.qm_op}", "value": format_rational(f(parse_word(args.on, f.domain.rank)))})
-    elif args.qm_op == "defect":
-        pattern = parse_word(args.pattern)
-        if args.exact:
-            cert = brooks_defect_exact(pattern)
-        else:
-            cert = defect_enumerate(_counting_qm(pattern, args.homog), args.max_len)
-        record = {
-            "op": "qm.defect",
-            "bound_type": cert.bound_type,
-            "value": format_rational(cert.value),
-            "range": cert.enumeration_range,
-        }
-        if cert.witness:
-            record["witness"] = [format_word(x) for x in cert.witness]
-        emit(record)
-    elif args.qm_op == "average":
-        pattern = parse_word(args.pattern)
-        f = finite_average(
-            _counting_qm(pattern, args.homog), parse_group(args.group, pattern.rank)
-        )
-        emit({"op": "qm.average", "value": format_rational(f(parse_word(args.on, pattern.rank)))})
-    elif args.qm_op == "product-average":
-        pattern = parse_word(args.pattern)
-        f = product_average(_counting_qm(pattern, args.homog), args.k, args.n)
-        words = [parse_word(t, pattern.rank) for t in args.on.split(",")]
-        if len(words) != args.n:
-            raise InputError(f"expected {args.n} comma-separated words")
-        emit({"op": "qm.product-average", "value": format_rational(f(tuple(words)))})
-    elif args.qm_op == "invariance":
-        pattern = parse_word(args.pattern)
-        f = _counting_qm(pattern, args.homog)
-        phi = parse_auto_chain(args.auto, pattern.rank)
-        samples = [parse_word(t, pattern.rank) for t in args.samples.split(",")]
-        report = check_invariance(f, [phi], samples)
-        emit(
-            {
-                "op": "qm.invariance",
-                "checked": report.checked,
-                "violations": [
-                    {
-                        "sample": format_word(g),
-                        "image_value": format_rational(left),
-                        "value": format_rational(right),
-                    }
-                    for _, g, left, right in report.violations
-                ],
-            }
-        )
-    elif args.qm_op == "eval":
-        try:
-            spec = _as_tuples(json.loads(_read_input(args.spec)))
-            f = build_quasimorphism(spec)
-            if not isinstance(f.domain, FreeGroupDomain):
-                raise InputError(f"qm eval needs a free-group spec, got {f.domain.describe()}")
-            value = f(parse_word(args.on, f.domain.rank))
-        except (LookupError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"malformed quasimorphism spec: {exc!r}")
-        except RecursionError:
-            # Parsing, decoding, building and evaluating all recurse on the nesting.
-            raise InputError("quasimorphism spec is nested too deeply")
-        emit({"op": "qm.eval", "value": format_rational(value)})
-    return 0
-
-
 def _as_tuples(obj):
     # The library writes only strings, integers and lists into a provenance.
     if isinstance(obj, list):
@@ -432,105 +276,340 @@ def _as_tuples(obj):
     return obj
 
 
-def cmd_norm(args) -> int:
-    w = parse_word(args.word, args.rank)
-    if args.norm_op == "bfs":
-        gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
-        if args.group != "none":
-            gens = list(orbit_closure(gens, parse_group(args.group, w.rank)))
-        result = bfs_norm(w, gens, args.cutoff)
-        emit({"op": "norm.bfs", **_norm_record(result)})
-    elif args.norm_op == "acl":
-        result = acl_upper(w, args.pool_depth, args.elem_len, args.kmax)
-        emit({"op": "norm.acl", **_norm_record(result)})
-    elif args.norm_op == "cl":
-        result = cl_upper(w, args.len_cap, args.kmax)
-        emit({"op": "norm.cl", **_norm_record(result)})
-    elif args.norm_op == "sacl":
-        estimate = sacl_estimate(
-            w, args.nmax, args.pool_depth, args.elem_len, args.kmax
-        )
-        emit(
-            {
-                "op": "norm.sacl",
-                "upper": None if estimate.upper is None else format_rational(estimate.upper),
-                "lower": format_rational(estimate.lower),
-                "restricted_lower": format_rational(estimate.restricted_lower),
-                "trace": [
-                    {"n": n, **_norm_record(result)} for n, result in estimate.trace
-                ],
-            }
-        )
-    elif args.norm_op == "bound":
-        f = _averaged_qm(args, w.rank)
-        gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
-        emit(
-            {
-                "op": "norm.bound",
-                "value": format_rational(invariant_norm_lower_bound(f, gens, w)),
-            }
-        )
-    elif args.norm_op == "bavard":
-        bound = duality_lower_bound(_averaged_qm(args, w.rank), w)
-        emit(
-            {
-                "op": "norm.bavard",
-                "value": format_rational(bound),
-                "scope": "restricted-to-group",
-            }
-        )
-    return 0
+def opt(flag: str, **kwargs) -> tuple[str, dict]:
+    """An option: its flag (or positional name) and add_argument keywords."""
+    return flag, kwargs
 
 
-def cmd_gp(args) -> int:
+RANK = opt("--rank", type=int)
+GRAPH = opt("--graph", required=True, help="graph file or -")
+HOMOG = opt("--homog", action=argparse.BooleanOptionalAction, default=True)
+GROUP = opt("--group", default="signed")
+KMAX = opt("--kmax", type=int, default=2)
+POOL = (opt("--pool-depth", type=int, default=1), opt("--elem-len", type=int, default=3), KMAX)
+
+# Each top-level name's help line, then the options every command under it takes.
+GROUPS = {
+    "word": ("free-group word arithmetic", RANK),
+    "auto": ("automorphism operations", RANK),
+    "wh": ("Whitehead minimization and predicates", RANK),
+    "qm": ("counting quasimorphisms",),
+    "norm": ("word norms and length estimates", RANK),
+    "gp": ("graph products", GRAPH),
+    "verify": ("run acceptance suites",),
+}
+
+# Command path -> (handler, options, tuning options, parser defaults), in the
+# order --help lists them.
+COMMANDS: dict[str, tuple] = {}
+
+
+def command(path: str, *options, tuning=(), **defaults):
+    """Register a handler as the command path ("group name" or "name").
+
+    An option is a name (positional), a --flag (a required string) or an
+    opt(...); the group's shared options follow the command's own, and
+    tuning follows those.  The handler returns its record without "op", or
+    an iterator of records.
+    """
+
+    def register(handler):
+        COMMANDS[path] = (handler, options, tuning, defaults)
+        return handler
+
+    return register
+
+
+def _word(args) -> Word:
+    return parse_word(args.word, args.rank)
+
+
+@command("word reduce", "word")
+def word_reduce(args):
+    return {"input": args.word, "value": format_word(_word(args))}
+
+
+@command("word mul", "left", "right")
+def word_mul(args):
+    u, v = parse_word_pair(args.left, args.right, args.rank)
+    return {"value": format_word(multiply(u, v))}
+
+
+@command("word inv", "word")
+def word_inv(args):
+    return {"value": format_word(invert(_word(args)))}
+
+
+@command("word pow", "word", opt("exponent", type=int))
+def word_pow(args):
+    return {"value": format_word(power(_word(args), args.exponent))}
+
+
+@command("word cyc", "word")
+def word_cyc(args):
+    core, conj = cyclic_reduce(_word(args))
+    return {"core": format_word(core.as_word()), "conjugator": format_word(conj)}
+
+
+@command("word conj", "left", "right")
+def word_conj(args):
+    u, v = parse_word_pair(args.left, args.right, args.rank)
+    return {"value": is_conjugate(u, v)}
+
+
+@command("auto apply", "--auto", "--word", act=apply)
+def auto_apply(args):
+    w = _word(args)
+    phi = parse_auto_chain(args.auto, w.rank)
+    return {"value": format_word(args.act(phi, w))}
+
+
+@command("auto compose", "--auto")
+def auto_compose(args):
+    return auto_record(parse_auto_chain(args.auto, 2 if args.rank is None else args.rank))
+
+
+@command("auto ad", "--word")
+def auto_ad(args):
+    return auto_record(ad(_word(args)))
+
+
+command("auto autocomm", "--auto", "--word", act=autocommutator)(auto_apply)
+
+
+@command("auto achiral", "--word", KMAX, opt("--depth", type=int, default=1))
+def auto_achiral(args):
+    found = achirality_search(_word(args), args.kmax, args.depth)
+    if found is None:
+        return {"found": False}
+    phi, k = found
+    return {"found": True, "k": k, **auto_record(phi)}
+
+
+@command("wh min", "--word")
+def wh_min(args):
+    minimal, trace = minimize(_word(args))
+    return {
+        "value": format_word(minimal),
+        "length": len(minimal),
+        "trace": [
+            {"auto": auto_record(phi), "result": format_word(result)}
+            for phi, result in trace
+        ],
+    }
+
+
+# Registered bottom-up: primitive, then freefactor.
+@command("wh freefactor", "--word", predicate=in_proper_free_factor)
+@command("wh primitive", "--word", predicate=is_primitive)
+def wh_predicate(args):
+    return {"value": args.predicate(_word(args))}
+
+
+@command("wh graph", "--word")
+def wh_graph(args):
+    w = _word(args)
+    graph = whitehead_graph(cyclic_reduce(w)[0].as_word())
+    return {
+        "edges": [[format_word(Word(w.rank, (x,))), format_word(Word(w.rank, (y,)))] for x, y in graph.edges],
+        "connected": graph.connected,
+        "has_cut_vertex": graph.has_cut_vertex,
+    }
+
+
+# Registered bottom-up: brooks, then homog.
+@command("qm homog", "--pattern", "--on", homog=True)
+@command("qm brooks", "--pattern", "--on", homog=False)
+def qm_value(args):
+    f = _counting_qm(parse_word(args.pattern), args.homog)
+    return {"value": format_rational(f(parse_word(args.on, f.domain.rank)))}
+
+
+@command("qm defect", "--pattern", opt("--homog", action="store_true"), opt("--exact", action="store_true"),
+         opt("--max-len", type=int, default=3))
+def qm_defect(args):
+    if args.exact and args.homog:
+        raise InputError("--exact gives the raw counting function's defect; drop --homog")
+    pattern = parse_word(args.pattern)
+    if args.exact:
+        cert = brooks_defect_exact(pattern)
+    else:
+        cert = defect_enumerate(_counting_qm(pattern, args.homog), args.max_len)
+    record = {
+        "bound_type": cert.bound_type,
+        "value": format_rational(cert.value),
+        "range": cert.enumeration_range,
+    }
+    if cert.witness:
+        record["witness"] = [format_word(x) for x in cert.witness]
+    return record
+
+
+@command("qm average", "--pattern", "--on", GROUP, HOMOG)
+def qm_average(args):
+    pattern = parse_word(args.pattern)
+    f = finite_average(
+        _counting_qm(pattern, args.homog), parse_group(args.group, pattern.rank)
+    )
+    return {"value": format_rational(f(parse_word(args.on, pattern.rank)))}
+
+
+@command("qm product-average", "--pattern", "--on", opt("-k", type=int, required=True),
+         opt("-n", type=int, required=True), HOMOG)
+def qm_product_average(args):
+    pattern = parse_word(args.pattern)
+    f = product_average(_counting_qm(pattern, args.homog), args.k, args.n)
+    words = [parse_word(t, pattern.rank) for t in args.on.split(",")]
+    if len(words) != args.n:
+        raise InputError(f"expected {args.n} comma-separated words")
+    return {"value": format_rational(f(tuple(words)))}
+
+
+@command("qm invariance", "--pattern", "--auto", "--samples", HOMOG)
+def qm_invariance(args):
+    pattern = parse_word(args.pattern)
+    f = _counting_qm(pattern, args.homog)
+    phi = parse_auto_chain(args.auto, pattern.rank)
+    samples = [parse_word(t, pattern.rank) for t in args.samples.split(",")]
+    report = check_invariance(f, [phi], samples)
+    return {
+        "checked": report.checked,
+        "violations": [
+            {
+                "sample": format_word(g),
+                "image_value": format_rational(left),
+                "value": format_rational(right),
+            }
+            for _, g, left, right in report.violations
+        ],
+    }
+
+
+@command("qm eval", opt("--spec", required=True, help="provenance JSON file or -"), "--on")
+def qm_eval(args):
+    try:
+        spec = _as_tuples(json.loads(_read_input(args.spec)))
+        f = build_quasimorphism(spec)
+        if not isinstance(f.domain, FreeGroupDomain):
+            raise InputError(f"qm eval needs a free-group spec, got {f.domain.describe()}")
+        value = f(parse_word(args.on, f.domain.rank))
+    except (LookupError, TypeError, ZeroDivisionError) as exc:
+        raise InputError(f"malformed quasimorphism spec: {exc!r}")
+    except RecursionError:
+        # Parsing, decoding, building and evaluating all recurse on the nesting.
+        raise InputError("quasimorphism spec is nested too deeply")
+    return {"value": format_rational(value)}
+
+
+@command("norm bfs", "--word", "--gens", opt("--group", default="none"),
+         opt("--cutoff", type=int, default=8))
+def norm_bfs(args):
+    w = _word(args)
+    gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
+    if args.group != "none":
+        gens = list(orbit_closure(gens, parse_group(args.group, w.rank)))
+    return _norm_record(bfs_norm(w, gens, args.cutoff))
+
+
+@command("norm acl", "--word", tuning=POOL)
+def norm_acl(args):
+    return _norm_record(acl_upper(_word(args), args.pool_depth, args.elem_len, args.kmax))
+
+
+@command("norm cl", "--word", opt("--len-cap", type=int, default=3), tuning=(KMAX,))
+def norm_cl(args):
+    return _norm_record(cl_upper(_word(args), args.len_cap, args.kmax))
+
+
+@command("norm sacl", "--word", opt("--nmax", type=int, default=8), tuning=POOL)
+def norm_sacl(args):
+    estimate = sacl_estimate(
+        _word(args), args.nmax, args.pool_depth, args.elem_len, args.kmax
+    )
+    return {
+        "upper": None if estimate.upper is None else format_rational(estimate.upper),
+        "lower": format_rational(estimate.lower),
+        "restricted_lower": format_rational(estimate.restricted_lower),
+        "trace": [
+            {"n": n, **_norm_record(result)} for n, result in estimate.trace
+        ],
+    }
+
+
+@command("norm bound", "--word", "--gens", "--pattern", GROUP)
+def norm_bound(args):
+    w = _word(args)
+    f = _averaged_qm(args, w.rank)
+    gens = [parse_word(t, w.rank) for t in args.gens.split(",")]
+    return {"value": format_rational(invariant_norm_lower_bound(f, gens, w))}
+
+
+@command("norm bavard", "--word", "--pattern", GROUP)
+def norm_bavard(args):
+    w = _word(args)
+    bound = duality_lower_bound(_averaged_qm(args, w.rank), w)
+    return {"value": format_rational(bound), "scope": "restricted-to-group"}
+
+
+@command("gp nf", "--word")
+def gp_nf(args):
     graph = parse_graph(args.graph)
-    if args.gp_op == "nf":
-        emit({"op": "gp.nf", "value": format_gp_word(parse_gp_word(graph, args.word))})
-    elif args.gp_op == "mul":
-        x = parse_gp_word(graph, args.left)
-        y = parse_gp_word(graph, args.right)
-        emit({"op": "gp.mul", "value": format_gp_word(gp.gp_multiply(x, y))})
-    elif args.gp_op == "join":
-        d = gp.join_decompose(graph)
-        emit(
-            {
-                "op": "gp.join",
-                "gamma0": list(d.gamma0),
-                "factors": [list(f) for f in d.factors],
-                "iso_classes": [list(c) for c in d.iso_classes],
-            }
-        )
-    elif args.gp_op == "dinfty":
-        factor = tuple(int(v) for v in args.factor.split(","))
-        for v in factor:
-            if v not in graph.vertices:
-                raise InputError(f"unknown vertex {v}")
-        emit({"op": "gp.dinfty", "value": gp.is_dinfty(graph, factor)})
-    elif args.gp_op == "classify":
-        emit({"op": "gp.classify", "virtually_abelian": gp.classify_virtually_abelian(graph)})
-    elif args.gp_op == "project":
-        d = gp.join_decompose(graph)
-        components = gp.project_kill_h0(parse_gp_word(graph, args.word), d)
-        emit(
-            {
-                "op": "gp.project",
-                "components": [format_gp_word(c) for c in components],
-            }
-        )
-    elif args.gp_op == "pipeline":
-        d = gp.join_decompose(graph)
-        f = brooks_homogeneous(parse_word(args.pattern))
-        qm = gp.gp_pipeline_qm(graph, d, f, args.k)
-        emit(
-            {
-                "op": "gp.pipeline",
-                "value": format_rational(qm(parse_gp_word(graph, args.on))),
-            }
-        )
-    return 0
+    return {"value": format_gp_word(parse_gp_word(graph, args.word))}
 
 
-def cmd_verify(args) -> int:
+@command("gp mul", "--left", "--right")
+def gp_mul(args):
+    graph = parse_graph(args.graph)
+    x = parse_gp_word(graph, args.left)
+    y = parse_gp_word(graph, args.right)
+    return {"value": format_gp_word(gp.gp_multiply(x, y))}
+
+
+@command("gp join")
+def gp_join(args):
+    d = gp.join_decompose(parse_graph(args.graph))
+    return {
+        "gamma0": list(d.gamma0),
+        "factors": [list(f) for f in d.factors],
+        "iso_classes": [list(c) for c in d.iso_classes],
+    }
+
+
+@command("gp dinfty", "--factor")
+def gp_dinfty(args):
+    graph = parse_graph(args.graph)
+    factor = tuple(int(v) for v in args.factor.split(","))
+    for v in factor:
+        if v not in graph.vertices:
+            raise InputError(f"unknown vertex {v}")
+    return {"value": gp.is_dinfty(graph, factor)}
+
+
+@command("gp classify")
+def gp_classify(args):
+    return {"virtually_abelian": gp.classify_virtually_abelian(parse_graph(args.graph))}
+
+
+@command("gp project", "--word")
+def gp_project(args):
+    graph = parse_graph(args.graph)
+    d = gp.join_decompose(graph)
+    components = gp.project_kill_h0(parse_gp_word(graph, args.word), d)
+    return {"components": [format_gp_word(c) for c in components]}
+
+
+@command("gp pipeline", "--pattern", opt("-k", type=int, default=1), "--on")
+def gp_pipeline(args):
+    graph = parse_graph(args.graph)
+    d = gp.join_decompose(graph)
+    f = brooks_homogeneous(parse_word(args.pattern))
+    qm = gp.gp_pipeline_qm(graph, d, f, args.k)
+    return {"value": format_rational(qm(parse_gp_word(graph, args.on)))}
+
+
+@command("verify", opt("suite", choices=sorted(SUITES)), opt("--seed", type=int),
+         opt("--config", help="JSON config file"))
+def run_verify(args):
     seed = args.seed
     if args.config:
         with open(args.config) as handle:
@@ -541,11 +620,9 @@ def cmd_verify(args) -> int:
         if seed is None:
             seed = data.get("seed")
     config = ExperimentConfig(seed=0 if seed is None else seed)
-    results = run_suite(args.suite, config)
-    for result in results:
-        emit({"op": "verify", **result.record()})
+    for result in run_suite(args.suite, config):
+        yield result.record()
         print(f"# {result.name}: {result.seconds:.2f}s", file=sys.stderr)
-    return 1 if any(not r.passed for r in results) else 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -559,151 +636,20 @@ def make_parser() -> argparse.ArgumentParser:
         prog="autqm",
         description="Exact free-group, quasimorphism, norm, and graph-product computations",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    word = sub.add_parser("word", help="free-group word arithmetic")
-    word_sub = word.add_subparsers(dest="word_op", required=True)
-    p = word_sub.add_parser("reduce")
-    p.add_argument("word")
-    p = word_sub.add_parser("mul")
-    p.add_argument("left")
-    p.add_argument("right")
-    p = word_sub.add_parser("inv")
-    p.add_argument("word")
-    p = word_sub.add_parser("pow")
-    p.add_argument("word")
-    p.add_argument("exponent", type=int)
-    p = word_sub.add_parser("cyc")
-    p.add_argument("word")
-    p = word_sub.add_parser("conj")
-    p.add_argument("left")
-    p.add_argument("right")
-    for p in word_sub.choices.values():
-        p.add_argument("--rank", type=int, default=None)
-    word.set_defaults(func=cmd_word)
-
-    auto = sub.add_parser("auto", help="automorphism operations")
-    auto_sub = auto.add_subparsers(dest="auto_op", required=True)
-    p = auto_sub.add_parser("apply")
-    p.add_argument("--auto", required=True)
-    p.add_argument("--word", required=True)
-    p = auto_sub.add_parser("compose")
-    p.add_argument("--auto", required=True)
-    p = auto_sub.add_parser("ad")
-    p.add_argument("--word", required=True)
-    p = auto_sub.add_parser("autocomm")
-    p.add_argument("--auto", required=True)
-    p.add_argument("--word", required=True)
-    p = auto_sub.add_parser("achiral")
-    p.add_argument("--word", required=True)
-    p.add_argument("--kmax", type=int, default=2)
-    p.add_argument("--depth", type=int, default=1)
-    for p in auto_sub.choices.values():
-        p.add_argument("--rank", type=int, default=None)
-    auto.set_defaults(func=cmd_auto)
-
-    wh = sub.add_parser("wh", help="Whitehead minimization and predicates")
-    wh_sub = wh.add_subparsers(dest="wh_op", required=True)
-    for name in ("min", "primitive", "freefactor", "graph"):
-        p = wh_sub.add_parser(name)
-        p.add_argument("--word", required=True)
-        p.add_argument("--rank", type=int, default=None)
-    wh.set_defaults(func=cmd_wh)
-
-    qm = sub.add_parser("qm", help="counting quasimorphisms")
-    qm_sub = qm.add_subparsers(dest="qm_op", required=True)
-    p = qm_sub.add_parser("brooks")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--on", required=True)
-    p = qm_sub.add_parser("homog")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--on", required=True)
-    p = qm_sub.add_parser("defect")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--homog", action="store_true")
-    p.add_argument("--exact", action="store_true")
-    p.add_argument("--max-len", type=int, default=3)
-    p = qm_sub.add_parser("average")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--on", required=True)
-    p.add_argument("--group", default="signed")
-    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
-    p = qm_sub.add_parser("product-average")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--on", required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
-    p = qm_sub.add_parser("invariance")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--auto", required=True)
-    p.add_argument("--samples", required=True)
-    p.add_argument("--homog", action=argparse.BooleanOptionalAction, default=True)
-    p = qm_sub.add_parser("eval")
-    p.add_argument("--spec", required=True, help="provenance JSON file or -")
-    p.add_argument("--on", required=True)
-    qm.set_defaults(func=cmd_qm)
-
-    norm = sub.add_parser("norm", help="word norms and length estimates")
-    norm_sub = norm.add_subparsers(dest="norm_op", required=True)
-    p = norm_sub.add_parser("bfs")
-    p.add_argument("--word", required=True)
-    p.add_argument("--gens", required=True)
-    p.add_argument("--group", default="none")
-    p.add_argument("--cutoff", type=int, default=8)
-    p = norm_sub.add_parser("acl")
-    p.add_argument("--word", required=True)
-    p = norm_sub.add_parser("cl")
-    p.add_argument("--word", required=True)
-    p.add_argument("--len-cap", type=int, default=3)
-    p = norm_sub.add_parser("sacl")
-    p.add_argument("--word", required=True)
-    p.add_argument("--nmax", type=int, default=8)
-    p = norm_sub.add_parser("bound")
-    p.add_argument("--word", required=True)
-    p.add_argument("--gens", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--group", default="signed")
-    p = norm_sub.add_parser("bavard")
-    p.add_argument("--word", required=True)
-    p.add_argument("--pattern", required=True)
-    p.add_argument("--group", default="signed")
-    for name, p in norm_sub.choices.items():
-        p.add_argument("--rank", type=int, default=None)
-        if name in ("acl", "sacl"):
-            p.add_argument("--pool-depth", type=int, default=1)
-            p.add_argument("--elem-len", type=int, default=3)
-        if name in ("acl", "cl", "sacl"):
-            p.add_argument("--kmax", type=int, default=2)
-    norm.set_defaults(func=cmd_norm)
-
-    gpp = sub.add_parser("gp", help="graph products")
-    gp_sub = gpp.add_subparsers(dest="gp_op", required=True)
-    p = gp_sub.add_parser("nf")
-    p.add_argument("--word", required=True)
-    p = gp_sub.add_parser("mul")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    p = gp_sub.add_parser("join")
-    p = gp_sub.add_parser("dinfty")
-    p.add_argument("--factor", required=True)
-    p = gp_sub.add_parser("classify")
-    p = gp_sub.add_parser("project")
-    p.add_argument("--word", required=True)
-    p = gp_sub.add_parser("pipeline")
-    p.add_argument("--pattern", required=True)
-    p.add_argument("-k", type=int, default=1)
-    p.add_argument("--on", required=True)
-    for p in gp_sub.choices.values():
-        p.add_argument("--graph", required=True, help="graph file or -")
-    gpp.set_defaults(func=cmd_gp)
-
-    verify = sub.add_parser("verify", help="run acceptance suites")
-    verify.add_argument("suite", choices=sorted(SUITES))
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--config", default=None, help="JSON config file")
-    verify.set_defaults(func=cmd_verify)
-
+    top = parser.add_subparsers(dest="command", required=True)
+    groups = {}
+    for path, (handler, options, tuning, defaults) in COMMANDS.items():
+        group, _, name = path.rpartition(" ")
+        summary, *shared = GROUPS[group or name]
+        if group and group not in groups:
+            group_parser = top.add_parser(group, help=summary)
+            groups[group] = group_parser.add_subparsers(dest=f"{group}_op", required=True)
+        leaf = groups[group].add_parser(name) if group else top.add_parser(name, help=summary)
+        for spec in (*options, *shared, *tuning):
+            if isinstance(spec, str):
+                spec = opt(spec, required=True) if spec.startswith("-") else opt(spec)
+            leaf.add_argument(spec[0], **spec[1])
+        leaf.set_defaults(func=handler, op=path.replace(" ", "."), **defaults)
     return parser
 
 
@@ -712,7 +658,12 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         if getattr(args, "rank", None) is not None and args.rank < 1:
             raise InputError(f"--rank must be at least 1, got {args.rank}")
-        return args.func(args)
+        out = args.func(args)
+        failed = False
+        for record in [out] if isinstance(out, dict) else out:
+            print(json.dumps({"op": args.op, **record}, sort_keys=True))
+            failed |= record.get("passed") is False
+        return 1 if failed else 0
     except CutoffExceeded as exc:
         print(json.dumps({"error": str(exc), "cutoff": True}), file=sys.stderr)
         return 3

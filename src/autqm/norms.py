@@ -66,7 +66,7 @@ class NormResult:
 
     status 'exact' carries the norm and a witness of exactly that length;
     'cutoff' means the value exceeds the given cutoff; 'infinite' means
-    the search space was exhausted without reaching the target.
+    the generators are all trivial, so a nontrivial target is out of reach.
     """
 
     status: str  # "exact" | "cutoff" | "infinite"
@@ -101,26 +101,28 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
     rank = g.rank
     if any(s.rank != rank for s in gens):
         raise ValueError("generating set and target must share a rank")
-    check_size(_series(1, len(set(gens)), (cutoff + 1) // 2 + 1))
+    # The forward ball: |gens|^d words of at most d generators' letters at depth d.
+    radius = (cutoff + 1) // 2
+    words = _series(1, len(set(gens)), radius + 1)
+    check_size(words)
+    check_size(words * radius * max(map(len, gens), default=0), letters=True)
     gens = sorted({s for s in gens if s}, key=Word.key)
     if not g:
         return NormResult("exact", 0, cutoff, ())
     if not gens:
         return NormResult("infinite", None, cutoff, None)
 
-    df, fparent, exhausted = _ball(identity(rank), gens, (cutoff + 1) // 2, multiply)
-    db, bparent, _ = _ball(
+    # A nontrivial subgroup of a free group is infinite, so neither ball runs
+    # out before its radius, and the radii sum to the cutoff.
+    df, fparent = _ball(identity(rank), gens, radius, multiply)
+    db, bparent = _ball(
         g, gens, cutoff // 2, lambda w, s: multiply(w, invert(s))
     )
 
     meets = df.keys() & db.keys()
     if not meets:
-        if exhausted:
-            return NormResult("infinite", None, cutoff, None)
         return NormResult("cutoff", None, cutoff, None)
     best = min(df[w] + db[w] for w in meets)
-    if best > cutoff:
-        return NormResult("cutoff", None, cutoff, None)
 
     def witness_of(meet: Word) -> tuple[Factor, ...]:
         left = _path(df, fparent, meet)
@@ -140,11 +142,10 @@ def bfs_norm(g: Word, gens: Sequence[Word], cutoff: int) -> NormResult:
 
 def _ball(
     root: Word, gens: Sequence[Word], radius: int, step: Callable[[Word, Word], Word]
-) -> tuple[dict[Word, int], dict[Word, tuple[Word, Word]], bool]:
+) -> tuple[dict[Word, int], dict[Word, tuple[Word, Word]]]:
     """Breadth-first ball around root under step(w, s) for s in gens.
 
-    Returns depths, parent links (w, s) ((None, None) at the root) and
-    whether the ball ran out of new elements before the radius.
+    Returns depths and parent links (w, s) ((None, None) at the root).
     """
     depth: dict[Word, int] = {}
     parent: dict[Word, tuple[Word, Word]] = {}
@@ -154,7 +155,7 @@ def _ball(
     for w, up, gen, d in search:
         depth[w] = d
         parent[w] = (up, gen)
-    return depth, parent, d < radius
+    return depth, parent
 
 
 def _path(depth: dict, parent: dict, w: Word) -> list[Word]:
@@ -293,13 +294,18 @@ def _product_search(
     The pool's values are order and added, walked as _merged.  k = 1 and 2
     search the whole pool; deeper levels draw the leading factors from a
     bounded subpool (shortest values first), which keeps the upper-bound
-    semantics while staying desk-sized.
+    semantics while staying desk-sized.  Level k >= 3 peels up to
+    len(sub)^(k-1) leaves, checked before the level starts.
     """
     if not g:
         return NormResult("exact", 0, k_max, ())
     for k in range(1, k_max + 1):
         if k == 3:
             sub = list(itertools.islice(_merged(order, added), _SUBPOOL_SIZE))
+            if not sub:  # an empty pool (commutators at rank 1) has no products
+                break
+        if k >= 3:
+            check_size(len(sub) ** (k - 1))
         found = _peel(pool, _merged(order, added) if k <= 2 else sub, g, k)
         if found is not None:
             return NormResult(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,9 +8,12 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cli_golden
+
 from autqm import norms as _norms
 from autqm.automorphisms import AutoWitness
 from autqm.cli import format_word, main, parse_auto_chain, parse_group, parse_word
+from autqm.verify import CheckResult
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,12 @@ class TestQmCommands:
         assert record["bound_type"] == "exact"
         assert record["value"] == "1"
         assert len(record["witness"]) == 2
+
+    def test_exact_defect_refuses_homog(self, capsys):
+        # The exact defect is the raw counting function's; it once printed
+        # that under --homog as exact.
+        assert main(["qm", "defect", "--pattern", "aab", "--exact", "--homog"]) == 2
+        assert "--homog" in one_error_record(capsys)["error"]
 
     def test_average_vanishes(self, capsys):
         record = run_one(
@@ -616,6 +626,13 @@ class TestVerifyCommand:
         assert code == 0
         assert records[0]["passed"]
 
+    def test_a_violation_exits_1_after_every_record(self, capsys):
+        results = [CheckResult("bad", False, "violation: x", 0.0), CheckResult("good", True, "ok", 0.0)]
+        with mock.patch("autqm.cli.run_suite", return_value=results):
+            code, records = run_cli(capsys, "verify", "all")
+        assert code == 1
+        assert [(r["op"], r["check"]) for r in records] == [("verify", "bad"), ("verify", "good")]
+
 
 class TestParsers:
     def test_parse_word_round_trip(self):
@@ -750,8 +767,11 @@ def test_searches_within_the_bound_run(capsys, argv):
         ["auto", "achiral", "--word", "ab", "--depth", "0", "--kmax", "20000"],
         ["norm", "sacl", "--nmax", "3000", "--word", "ab"],
         ["norm", "bfs", "--word", "abABabAB", "--gens", "a,b,ab", "--cutoff", "40"],
+        ["norm", "bfs", "--word", "b", "--gens", "a", "--cutoff", "12000"],
+        ["norm", "bavard", "--word", "ab", "--pattern", "ab", "--rank", "7"],
+        ["norm", "bound", "--word", "ab", "--gens", "a", "--pattern", "ab", "--rank", "1000000000"],
     ],
-    ids=["achiral-kmax", "sacl-nmax", "bfs-cutoff"],
+    ids=["achiral-kmax", "sacl-nmax", "bfs-cutoff", "bfs-letters", "signed-rank-7", "signed-huge-rank"],
 )
 def test_powers_and_balls_are_cut_off_at_once(capsys, argv):
     # Unbounded before: the achiral powers and the balls ran out of memory
@@ -833,3 +853,96 @@ def test_fuzzed_search_argv_exit_cleanly(argv):
         assert json.loads(lines[0]).get("cutoff", False) is (code == 3)
     else:
         assert len(out.getvalue().splitlines()) == 1
+
+
+# Values for every option of every command, by its dest.  A new option
+# fails test_fuzzed_argv_of_every_command until it is given values here.
+LEAVES = {" ".join(path): parser for path, parser in cli_golden.leaf_parsers()}
+SYLLABLES = ["0", "1^1", "2^-1", "3^2", "4", "1^0", "x^1", "9^1"]
+CHAIN_TOKENS = ["id", "swap(1,2)", "perm(2,1)", "inv(1)", "lt(1,2)", "rt(2,1)", "ad(ab)", "swap(1,5)", "lt"]
+NAMED = {
+    "group": ["none", "trivial", "swap", "signed", "bogus"],
+    "graph": ["pipe.graph", "dihedral.graph", "square.graph", "bad.graph", "missing.graph"],
+    "spec": ["brooks.json", "product.json", "missing.json"],
+    "factor": ["0,1", "0,7", "1", "x"],
+    "suite": ["ad-identity", "normalform", "bogus"],
+    "config": ["seed7.json", "list.json", "missing.json"],
+}
+FILE_DESTS = ("graph", "spec", "config")
+INTS = {
+    "exponent": small_or_huge(-4, 4),
+    "depth": small_or_huge(-1, 2),
+    "cutoff": small_or_huge(-1, 10),
+    "len_cap": small_or_huge(0, 2),
+    "nmax": small_or_huge(0, 4),
+    "pool_depth": small_or_huge(0, 2),
+    "elem_len": small_or_huge(0, 2),
+    "max_len": st.integers(-1, 2),
+    "k": small_or_huge(0, 3),
+    "n": small_or_huge(0, 3),
+    "seed": st.integers(0, 9),
+}
+
+
+def _option_value(data, path, dest, rank, files):
+    draw = data.draw
+    if path.startswith("gp ") and dest in ("word", "left", "right", "on"):
+        return " ".join(draw(st.lists(st.sampled_from(SYLLABLES), max_size=4)))
+    if dest in ("gens", "samples", "on"):
+        return ",".join(_argv_word(draw, rank) for _ in range(draw(st.integers(1, 3))))
+    if dest == "pattern":
+        # An exact defect's work grows exponentially in the pattern's length.
+        return _argv_word(draw, rank)[:3]
+    if dest in ("word", "left", "right"):
+        return _argv_word(draw, rank)
+    if dest == "auto":
+        return ";".join(draw(st.lists(st.sampled_from(CHAIN_TOKENS), min_size=1, max_size=2)))
+    if dest == "rank":
+        return str(rank)
+    if dest == "kmax":
+        # A product search's work grows as a power of --kmax: it stays small.
+        huge_ok = path == "auto achiral"
+        return str(draw(small_or_huge(0, 4) if huge_ok else st.sampled_from([0, 1, 2])))
+    if dest in NAMED:
+        name = draw(st.sampled_from(NAMED[dest]))
+        return str(files / name) if dest in FILE_DESTS else name
+    return str(draw(INTS[dest]))
+
+
+@pytest.fixture(scope="module")
+def golden_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    cli_golden.write_files(directory)
+    return directory
+
+
+@pytest.mark.parametrize("path", list(LEAVES))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_fuzzed_argv_of_every_command(golden_files, path, data):
+    rank = data.draw(st.integers(1, 3))
+    argv = path.split()
+    for action in LEAVES[path]._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if action.option_strings and not action.required and data.draw(st.booleans()):
+            continue  # left at its default
+        flag = data.draw(st.sampled_from(action.option_strings)) if action.option_strings else None
+        if action.nargs == 0:  # a switch: --exact, --homog or --no-homog
+            argv.append(flag)
+            continue
+        value = _option_value(data, path, action.dest, rank, golden_files)
+        argv += [flag, value] if flag else [value]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), argv
+    if code:
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and "Traceback" not in err.getvalue()
+        assert json.loads(lines[0]).get("cutoff", False) is (code == 3)
+    else:
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert records and all(r["op"] == path.replace(" ", ".") for r in records)
+        assert len(records) == 1 or path == "verify"

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 
 from autqm import words
-from autqm.automorphisms import achirality_search, composite_pool
+from autqm.automorphisms import achirality_search, composite_pool, signed_permutations
 from autqm.norms import (
     _autocommutator_base,
     _commutator_pool,
@@ -42,6 +42,12 @@ SEARCHES = {
     "commutator_pool": ("MAX_SEARCH_SIZE", 5 * 5, lambda: cl_upper(AB, 1)),
     # The forward ball of radius 2 over two generators: 1 + 2 + 4 words.
     "bfs_norm": ("MAX_SEARCH_SIZE", 7, lambda: bfs_norm(AB, [A, B], 4)),
+    # Over ab alone: 3 words of at most 2 generators' 2 letters each.
+    "bfs_norm_letters": ("MAX_POWER_LETTERS", 3 * 2 * 2, lambda: bfs_norm(B, [AB], 4)),
+    "signed_permutations": ("MAX_SEARCH_SIZE", 2**3 * 6, lambda: signed_permutations(3)),
+    # a is no product of commutators, so level 3 runs: it peels the 8
+    # commutators of letters, then the 8 again (the pool's 25 pairs pass).
+    "product_search_level": ("MAX_SEARCH_SIZE", 8**2, lambda: cl_upper(A, 1, 3)),
     # The base once, then (1 + 2) times ab's 2 root powers with 18 automorphisms.
     "sacl_powers": ("MAX_SEARCH_SIZE", 72 + 3 * 36, lambda: sacl_estimate(AB, 2, 1, 1)),
     # a^40's one power: its search and its own pairs count the most.

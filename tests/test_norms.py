@@ -174,7 +174,8 @@ class TestBallOracle:
     def test_balls_match_frontier_oracle(self):
         # The two balls bfs_norm grows, on random targets, generating
         # sets and cutoffs, plus a finite ball (prefixes of g) that runs
-        # out before its radius; dict order is the discovery order.
+        # out before its radius; dict order is the discovery order.  A
+        # free group is torsion-free, so bfs_norm's balls never run out.
         rng = random.Random(37)
         for _ in range(60):
             rank = rng.choice([1, 2, 3])
@@ -185,12 +186,12 @@ class TestBallOracle:
             }
             gens = sorted(picks, key=Word.key)
             cutoff = rng.randrange(0, 10)
-            for root, radius, step in (
-                (identity(rank), (cutoff + 1) // 2, multiply),
-                (g, cutoff // 2, lambda u, s: multiply(u, invert(s))),
-                (g, cutoff, lambda u, s: Word(rank, u.letters[:-1])),
+            for root, radius, step, finite in (
+                (identity(rank), (cutoff + 1) // 2, multiply, False),
+                (g, cutoff // 2, lambda u, s: multiply(u, invert(s)), False),
+                (g, cutoff, lambda u, s: Word(rank, u.letters[:-1]), True),
             ):
-                depth, parent, exhausted = _ball(root, gens, radius, step)
+                depth, parent = _ball(root, gens, radius, step)
                 o_depth, o_parent, o_exhausted = frontier_ball(
                     root, gens, radius, step
                 )
@@ -198,7 +199,7 @@ class TestBallOracle:
                 assert [(u, parent[u]) for u in depth if u != root] == list(
                     o_parent.items()
                 )
-                assert exhausted == o_exhausted
+                assert finite or not o_exhausted
             result = bfs_norm(g, gens, cutoff)
             if result.found():
                 product = multiply_all((f.value for f in result.witness), rank)
@@ -482,6 +483,11 @@ class TestClUpper:
 
     def test_identity(self):
         assert cl_upper(identity(2)).value == 0
+
+    def test_rank_one_has_no_commutators_at_any_depth(self):
+        # The pool is empty, so the search stops at level 3, not at k_max.
+        result = cl_upper(Word(1, (1,)), len_cap=1, k_max=10**12)
+        assert (result.status, result.cutoff) == ("cutoff", 10**12)
 
     def test_ordering_against_acl(self):
         rng = random.Random(13)
