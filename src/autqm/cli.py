@@ -7,8 +7,8 @@ are chains of named elementary maps applied left to right, e.g.
 Each command is one handler, registered by @command with its path and
 options; make_parser builds the tree, and main adds the record's "op".
 Exit codes: 0 success, 1 verification violation, 2 bad input, 3 resource
-cutoff.  `qm defect --exact --homog` is bad input; a signed group, a
-product-search level or a `norm bfs` ball past its size cap is a cutoff.
+cutoff.  `qm defect --exact --homog` and a `--rank` outside 1-26 are bad
+input; a search or a table past its size cap is a cutoff.
 """
 
 from __future__ import annotations
@@ -656,8 +656,9 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = make_parser().parse_args(argv)
-        if getattr(args, "rank", None) is not None and args.rank < 1:
-            raise InputError(f"--rank must be at least 1, got {args.rank}")
+        rank = getattr(args, "rank", None)
+        if rank is not None and not 1 <= rank <= 26:
+            raise InputError(f"--rank must be at {'least 1' if rank < 1 else 'most 26'}, got {rank}")
         out = args.func(args)
         failed = False
         for record in [out] if isinstance(out, dict) else out:

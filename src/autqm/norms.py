@@ -32,8 +32,8 @@ from .automorphisms import (
 from .quasimorphisms import Quasimorphism
 from .words import (
     Word,
-    _reduce_letters,
-    _trusted,
+    _inverse,
+    _join,
     _series,
     breadth_first,
     check_size,
@@ -45,6 +45,7 @@ from .words import (
     multiply,
     power,
     primitive_root,
+    word_key,
 )
 
 # Leading factors of products of three or more are drawn from this many
@@ -180,20 +181,27 @@ def _root_powers(g: Word) -> list[Word]:
 @functools.cache
 def _autocommutator_base(
     rank: int, pool_depth: int, elem_len: int
-) -> tuple[tuple[Automorphism, ...], tuple[Word, ...], Mapping, tuple[Word, ...]]:
+) -> tuple[tuple[Automorphism, ...], tuple[tuple, ...], tuple[Word, ...], Mapping, tuple]:
     """The part of the autocommutator pool that does not depend on the target.
 
     Returns the automorphisms (composites of elementary automorphisms up
-    to pool_depth, then inner automorphisms by short words), the short
-    words, the autocommutator values of those pairs keyed by word (the
-    first automorphism, then the first word, wins), read-only, and the
-    values sorted by Word.key.  Built once per parameter set.
+    to pool_depth, then inner automorphisms by short words), the composites'
+    letter tables, the short words, the values of those pairs keyed by
+    letters (the first automorphism, then the first word, wins), read-only,
+    and the keys sorted by word_key.  Built once per parameter set.
     """
     shorts = tuple(u for u in enumerate_reduced_words(rank, elem_len) if u)
     autos = tuple(composite_pool(rank, pool_depth)) + tuple(ad(u) for u in shorts)
-    pool: dict[Word, tuple[Automorphism, Word]] = {}
-    values = _add_pairs(pool, autos, shorts, shorts)
-    return autos, shorts, MappingProxyType(pool), tuple(sorted(values, key=Word.key))
+    tables = tuple(map(_letter_table, autos[: len(autos) - len(shorts)]))
+    pool: dict[tuple, tuple[Automorphism, Word]] = {}
+    _add_pairs(pool, {}, autos, tables, shorts, shorts)
+    return autos, tables, shorts, MappingProxyType(pool), tuple(sorted(pool, key=word_key))
+
+
+def _letter_table(phi: Automorphism) -> tuple[tuple[int, ...], ...]:
+    """The image letters of every signed letter l under phi, at index l."""
+    images = [w.letters for w in phi.images]
+    return tuple([()] + images + [_inverse(x) for x in reversed(images)])
 
 
 def _pool_pairs(g: Word, pool_depth: int, elem_len: int) -> tuple[int, int, int]:
@@ -208,40 +216,40 @@ def _pool_pairs(g: Word, pool_depth: int, elem_len: int) -> tuple[int, int, int]
 
 
 def _add_pairs(
-    pool: dict, autos: Sequence[Automorphism], shorts: Sequence[Word], hs: Sequence[Word]
-) -> list[Word]:
-    """Add phi(h) h^-1 for phi in autos, then h in hs, to pool and return
-    the new values.  A value keeps its first pair; one already in pool is
-    earlier unless it comes from a later phi.  autos ends with ad(u) for u in
-    shorts: u h u^-1 h^-1 takes one pass over the letters."""
+    own: dict, base: Mapping, autos: Sequence[Automorphism], tables: Sequence[tuple],
+    shorts: Sequence[Word], hs: Sequence[Word],
+) -> list[tuple]:
+    """Add phi(h) h^-1 for phi in autos, then h in hs, to own on top of base,
+    keyed by letters.  A value keeps its first pair; one already held is
+    earlier unless it comes from a later phi.  phi(h) folds tables[i] with
+    _join; autos ends with ad(u) for u in shorts: u h u^-1 h^-1 is 3 joins."""
     inner = len(autos) - len(shorts)
     position = {id(phi): i for i, phi in enumerate(autos)}
-    inverses = [invert(h).letters for h in hs]
-    added = []
+    pairs = [(h, h.letters, _inverse(h.letters)) for h in hs]
     for i, phi in enumerate(autos):
         u = shorts[i - inner].letters if i >= inner else ()
-        uinv = tuple(-l for l in reversed(u))
-        for h, q in zip(hs, inverses):
+        uinv = _inverse(u)
+        for h, letters, inverse in pairs:
             if i < inner:
-                letters = _reduce_letters(q, list(apply(phi, h).letters))
+                image = ()
+                for l in letters:
+                    image = _join(image, tables[i][l])
+                value = _join(image, inverse)
             else:
-                letters = _reduce_letters(h.letters + uinv + q, list(u))
-            if not letters:
+                value = _join(_join(u, letters), _join(uinv, inverse))
+            if not value:
                 continue
-            value = _trusted(Word, h.rank, letters)
-            held = pool.get(value)
-            if held is None:
-                added.append(value)
-            elif position.get(id(held[0]), -1) <= i:
+            held = own.get(value) or base.get(value)
+            if held is not None and position.get(id(held[0]), -1) <= i:
                 continue
-            pool[value] = (phi, h)
-    return added
+            own[value] = (phi, h)
 
 
 def _autocommutator_pool(
     g: Word, pool_depth: int, elem_len: int
-) -> tuple[dict[Word, tuple[Automorphism, Word]], tuple[Word, ...], list[Word]]:
-    """g's pool keyed by value, the cached values by Word.key, and g's own by length.
+) -> tuple[dict, Mapping, tuple, list[tuple]]:
+    """g's own entries over the cached base, the base's letter keys by
+    word_key, and the keys only g's entries hold, by length.
 
     The pool combines composites of elementary automorphisms up to
     pool_depth, inner automorphisms by short words, and transvections by
@@ -249,53 +257,52 @@ def _autocommutator_pool(
     witnesses actually take).  Element candidates are short words plus
     those same root powers (the ones longer than elem_len).  A value keeps
     the first (automorphism, element) pair in that order; only the pairs
-    with a root power are computed here, on top of _autocommutator_base.
+    with a root power are computed here, into a dict read before the base.
     """
     base_pairs, *own_pairs = _pool_pairs(g, pool_depth, elem_len)
     check_size(max(base_pairs, sum(own_pairs)))
-    rank = g.rank
-    autos, shorts, base, base_order = _autocommutator_base(rank, pool_depth, elem_len)
+    autos, tables, shorts, base, base_order = _autocommutator_base(g.rank, pool_depth, elem_len)
     roots = _root_powers(g)
-    pool = base.copy()
-    added = _add_pairs(pool, autos, shorts, [r for r in roots if len(r) > elem_len])
+    own: dict[tuple, tuple[Automorphism, Word]] = {}
+    _add_pairs(own, base, autos, tables, shorts, [r for r in roots if len(r) > elem_len])
     # Root powers share g's support, so the transvections of a letter x outside
     # it fix them, and only the short words that use x can give a value.
-    outside = [x for x in range(1, rank + 1) if x not in g.support()]
+    outside = [x for x in range(1, g.rank + 1) if x not in g.support()]
     uses = {x: [h for h in shorts if x in map(abs, h.letters)] for x in outside}
     for u in roots:
         for x, hs in uses.items():
-            added += _add_pairs(pool, (word_transvection(u, x),), (), hs)
-    added.sort(key=len)
-    return pool, base_order, added
+            phi = word_transvection(u, x)
+            _add_pairs(own, base, (phi,), (_letter_table(phi),), (), hs)
+    return own, base, base_order, sorted((v for v in own if v not in base), key=len)
 
 
 @functools.cache
-def _commutator_pool(rank: int, len_cap: int) -> tuple[Mapping, tuple[Word, ...]]:
-    """Commutators [u, v] of words up to len_cap keyed by value (first pair
-    wins), read-only, and the values sorted by Word.key.  Built once per
+def _commutator_pool(rank: int, len_cap: int) -> tuple[Mapping, tuple]:
+    """Commutators [u, v] of words up to len_cap keyed by letters (first
+    pair wins), read-only, and the keys sorted by word_key.  Built once per
     parameter set."""
     check_size(count_reduced(rank, len_cap) ** 2)
-    pool: dict[Word, tuple[Word, Word]] = {}
-    shorts = list(enumerate_reduced_words(rank, len_cap))
-    for u in shorts:
-        for v in shorts:
-            value = multiply(multiply(u, v), multiply(invert(u), invert(v)))
+    pool: dict[tuple, tuple[Word, Word]] = {}
+    shorts = [(u, u.letters, _inverse(u.letters)) for u in enumerate_reduced_words(rank, len_cap)]
+    for u, ul, uinv in shorts:
+        for v, vl, vinv in shorts:
+            value = _join(_join(ul, vl), _join(uinv, vinv))
             if value and value not in pool:
                 pool[value] = (u, v)
-    return MappingProxyType(pool), tuple(sorted(pool, key=Word.key))
+    return MappingProxyType(pool), tuple(sorted(pool, key=word_key))
 
 
 def _product_search(
-    pool: Mapping[Word, tuple], order: Sequence[Word], added: Sequence[Word],
-    g: Word, k_max: int, kind: str,
+    own: Mapping[tuple, tuple], base: Mapping[tuple, tuple], order: Sequence[tuple],
+    added: Sequence[tuple], g: Word, k_max: int, kind: str,
 ) -> NormResult:
     """Least k <= k_max with g a product of k pool values.
 
-    The pool's values are order and added, walked as _merged.  k = 1 and 2
-    search the whole pool; deeper levels draw the leading factors from a
-    bounded subpool (shortest values first), which keeps the upper-bound
-    semantics while staying desk-sized.  Level k >= 3 peels up to
-    len(sub)^(k-1) leaves, checked before the level starts.
+    The pool is own over base; its letter keys are order and added, walked
+    as _merged.  k = 1 and 2 search the whole pool; deeper levels draw the
+    leading factors from a bounded subpool (shortest values first), which
+    keeps the upper-bound semantics while staying desk-sized.  Level k >= 3
+    peels up to len(sub)^(k-1) leaves, checked before the level starts.
     """
     if not g:
         return NormResult("exact", 0, k_max, ())
@@ -306,21 +313,20 @@ def _product_search(
                 break
         if k >= 3:
             check_size(len(sub) ** (k - 1))
-        found = _peel(pool, _merged(order, added) if k <= 2 else sub, g, k)
+        found = _peel(own, base, _merged(order, added) if k <= 2 else sub, g.letters, k)
         if found is not None:
-            return NormResult(
-                "exact", k, k_max, tuple(Factor(t, (kind, *pool[t])) for t in found)
-            )
+            factors = (Factor(Word(g.rank, t), (kind, *(own.get(t) or base[t]))) for t in found)
+            return NormResult("exact", k, k_max, tuple(factors))
     return NormResult("cutoff", None, k_max, None)
 
 
-def _merged(order: Sequence[Word], added: Sequence[Word]) -> Iterator[Word]:
-    """order (by Word.key) and added (other words, by length) in Word.key order.
-    A length of added is sorted, and a word of it bisected, only when reached."""
+def _merged(order: Sequence[tuple], added: Sequence[tuple]) -> Iterator[tuple]:
+    """order (by word_key) and added (other keys, by length) in word_key order.
+    A length of added is sorted, and a key of it bisected, only when reached."""
     rest, start = iter(order), 0
     for _, run in itertools.groupby(added, len):
-        for value in sorted(run, key=Word.key):
-            cut = bisect.bisect_left(order, value.key(), start, key=Word.key)
+        for value in sorted(run, key=word_key):
+            cut = bisect.bisect_left(order, word_key(value), start, key=word_key)
             yield from itertools.islice(rest, cut - start)
             yield value
             start = cut
@@ -328,16 +334,16 @@ def _merged(order: Sequence[Word], added: Sequence[Word]) -> Iterator[Word]:
 
 
 def _peel(
-    pool: Mapping[Word, tuple],
-    sub: Iterable[Word],
-    g: Word,
+    own: Mapping[tuple, tuple],
+    base: Mapping[tuple, tuple],
+    sub: Iterable[tuple],
+    g: tuple,
     k: int,
-) -> Optional[tuple[Word, ...]]:
+) -> Optional[tuple[tuple, ...]]:
     if k == 1:
-        return (g,) if g in pool else None
+        return (g,) if g in own or g in base else None
     for t in sub:
-        rest = multiply(invert(t), g)
-        tail = _peel(pool, sub, rest, k - 1)
+        tail = _peel(own, base, sub, _join(_inverse(t), g), k - 1)
         if tail is not None:
             return (t,) + tail
     return None
@@ -354,8 +360,8 @@ def acl_upper(
     """
     if min(pool_depth, elem_len, k_max) < 1:
         raise ValueError("search parameters must be positive")
-    pool, order, added = _autocommutator_pool(g, pool_depth, elem_len)
-    return _product_search(pool, order, added, g, k_max, "autocommutator")
+    own, base, order, added = _autocommutator_pool(g, pool_depth, elem_len)
+    return _product_search(own, base, order, added, g, k_max, "autocommutator")
 
 
 def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
@@ -363,7 +369,7 @@ def cl_upper(g: Word, len_cap: int = 3, k_max: int = 2) -> NormResult:
     if min(len_cap, k_max) < 1:
         raise ValueError("search parameters must be positive")
     pool, order = _commutator_pool(g.rank, len_cap)
-    return _product_search(pool, order, (), g, k_max, "commutator")
+    return _product_search({}, pool, order, (), g, k_max, "commutator")
 
 
 def transvection_witness(g: Word, x_index: int, n: int) -> tuple[Automorphism, Word]:

@@ -9,11 +9,13 @@ can rebuild it bit-identically.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
+from . import words
 from .automorphisms import Automorphism, apply, is_finite_group
 from .words import (
     Word,
@@ -203,7 +205,9 @@ def defect_enumerate(f: Quasimorphism, max_len: int) -> DefectCertificate:
     if max_len < 0:
         raise ValueError(f"max_len must be nonnegative, got {max_len}")
     domain = f.domain
-    elements = list(domain.elements(max_len))
+    past_root = math.isqrt(words.MAX_SEARCH_SIZE) + 1  # enough to see the pairs pass the cap
+    elements = list(itertools.islice(domain.elements(max_len), past_root))
+    words.check_size(len(elements) ** 2)
     best = Fraction(0)
     witness = (domain.identity(), domain.identity())
     witness_key = None
@@ -238,6 +242,7 @@ def brooks_defect_exact(w: Word) -> DefectCertificate:
     table = _pattern_table(w)
     rank = w.rank
     ell = len(w)
+    words.check_size(words.count_reduced(rank, ell - 1) ** 2)  # the (u, v) table
     shorts = list(enumerate_reduced(rank, ell - 1))
     cache: dict[tuple, int] = {}
 

@@ -32,14 +32,18 @@ def word_key(letters: Sequence[int]) -> tuple:
     return (len(letters), tuple(2 * l - 2 if l > 0 else -2 * l - 1 for l in letters))
 
 
-def _reduce_letters(letters: Iterable[int], out: list[int]) -> tuple[int, ...]:
-    # out, a reduced prefix, followed by the letters, freely reduced.
-    for l in letters:
-        if out and out[-1] == -l:
-            out.pop()
-        else:
-            out.append(l)
-    return tuple(out)
+def _join(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+    """u followed by v, for reduced letter tuples: only the junction cancels."""
+    if not u or not v or u[-1] != -v[0]:
+        return u + v  # nothing cancels: the common case
+    i, n = 1, min(len(u), len(v))
+    while i < n and u[-1 - i] == -v[i]:
+        i += 1
+    return u[: len(u) - i] + v[i:]
+
+
+def _inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([-l for l in reversed(letters)])
 
 
 @dataclass(frozen=True)
@@ -142,19 +146,23 @@ def reduce(letters: Iterable[int], rank: int) -> Word:
     >>> reduce([1, 2, 1], 2).letters
     (1, 2, 1)
     """
-    letters = tuple(letters)
     identity(rank)  # checks the rank
+    out: list[int] = []
     for l in letters:
         if l == 0 or abs(l) > rank:
             raise ValueError(f"letter {l} out of range for rank {rank}")
-    return _trusted(Word, rank, _reduce_letters(letters, []))
+        if out and out[-1] == -l:
+            out.pop()
+        else:
+            out.append(l)
+    return _trusted(Word, rank, tuple(out))
 
 
 def multiply(u: Word, v: Word) -> Word:
     """Product of two words, freely reduced."""
     if u.rank != v.rank:
         raise ValueError(f"rank mismatch: {u.rank} != {v.rank}")
-    return _trusted(Word, u.rank, _reduce_letters(v.letters, list(u.letters)))
+    return _trusted(Word, u.rank, _join(u.letters, v.letters))
 
 
 def substitute(images: Sequence[Word], w: Word, rank: int) -> Word:
@@ -186,7 +194,7 @@ def invert(u: Word) -> Word:
     >>> invert(reduce([1, 2, -1, -2], 2)).letters
     (2, 1, -2, -1)
     """
-    return _trusted(Word, u.rank, tuple(-l for l in reversed(u.letters)))
+    return _trusted(Word, u.rank, _inverse(u.letters))
 
 
 def _strip_ends(letters: tuple[int, ...]) -> tuple[int, int]:
@@ -232,7 +240,7 @@ def power(u: Word, k: int) -> Word:
     i, j = _strip_ends(u.letters)
     t = u.letters[:i]
     stripped = u.letters[i:j]
-    raw = t + stripped * k + tuple(-l for l in reversed(t))
+    raw = t + stripped * k + _inverse(t)
     return _trusted(Word, u.rank, raw)
 
 

@@ -711,7 +711,7 @@ class Reached(Exception):
         ["auto", "achiral", "--word", "ab", "--depth", "12"],
         ["auto", "achiral", "--word", "ab", "--depth", "7"],
         ["auto", "achiral", "--word", "ab", "--depth", "6", "--kmax", "3"],
-        ["auto", "achiral", "--word", "ab", "--rank", "1000000000"],
+        ["auto", "achiral", "--word", "ab", "--rank", "26"],
         ["norm", "sacl", "--word", "", "--nmax", "100000000"],
         ["norm", "cl", "--word", "", "--len-cap", "8"],
     ],
@@ -769,7 +769,7 @@ def test_searches_within_the_bound_run(capsys, argv):
         ["norm", "bfs", "--word", "abABabAB", "--gens", "a,b,ab", "--cutoff", "40"],
         ["norm", "bfs", "--word", "b", "--gens", "a", "--cutoff", "12000"],
         ["norm", "bavard", "--word", "ab", "--pattern", "ab", "--rank", "7"],
-        ["norm", "bound", "--word", "ab", "--gens", "a", "--pattern", "ab", "--rank", "1000000000"],
+        ["norm", "bound", "--word", "ab", "--gens", "a", "--pattern", "ab", "--rank", "26"],
     ],
     ids=["achiral-kmax", "sacl-nmax", "bfs-cutoff", "bfs-letters", "signed-rank-7", "signed-huge-rank"],
 )
@@ -780,6 +780,24 @@ def test_powers_and_balls_are_cut_off_at_once(capsys, argv):
     assert main(argv) == 3
     assert time.perf_counter() - started < 1
     assert one_error_record(capsys)["cutoff"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wh", "primitive", "--word", "ab", "--rank", "3000"],
+        ["auto", "compose", "--auto", "id", "--rank", "1000000"],
+        ["auto", "achiral", "--word", "ab", "--rank", "1000000000"],
+        ["norm", "bound", "--word", "ab", "--gens", "a", "--pattern", "ab", "--rank", "27"],
+        ["word", "reduce", "ab", "--rank", "-5"],
+    ],
+)
+def test_a_rank_past_the_letters_is_bad_input_at_once(capsys, argv):
+    # The first two ran past 30 s and for 10.8 s before --rank was bounded.
+    started = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - started < 1
+    assert "--rank must be" in one_error_record(capsys)["error"]
 
 
 def test_transvection_witness_builds_the_printed_automorphism(capsys):
@@ -812,7 +830,7 @@ def small_or_huge(low, high):
 def cli_argv(draw):
     rank = draw(st.integers(min_value=1, max_value=3))
     word = _argv_word(draw, rank)
-    rank_opt = draw(st.sampled_from([[], ["--rank", str(rank)]]))
+    rank_opt = draw(st.sampled_from([[], ["--rank", str(rank)], ["--rank", "1000000000000"]]))
     command = draw(st.sampled_from(["acl", "sacl", "cl", "bfs", "achiral", "pow"]))
 
     def opt(name, low, high):
@@ -877,7 +895,7 @@ INTS = {
     "nmax": small_or_huge(0, 4),
     "pool_depth": small_or_huge(0, 2),
     "elem_len": small_or_huge(0, 2),
-    "max_len": st.integers(-1, 2),
+    "max_len": st.one_of(st.integers(-1, 2), HUGE),
     "k": small_or_huge(0, 3),
     "n": small_or_huge(0, 3),
     "seed": st.integers(0, 9),
@@ -898,7 +916,7 @@ def _option_value(data, path, dest, rank, files):
     if dest == "auto":
         return ";".join(draw(st.lists(st.sampled_from(CHAIN_TOKENS), min_size=1, max_size=2)))
     if dest == "rank":
-        return str(rank)
+        return str(draw(st.one_of(*[st.just(rank)] * 6, st.integers(-1, 0), HUGE)))
     if dest == "kmax":
         # A product search's work grows as a power of --kmax: it stays small.
         huge_ok = path == "auto achiral"

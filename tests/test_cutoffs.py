@@ -9,8 +9,12 @@ from unittest import mock
 
 import pytest
 
+import time
+
 from autqm import words
 from autqm.automorphisms import achirality_search, composite_pool, signed_permutations
+from autqm.cli import main
+from autqm.graphprod import GraphProductDomain, VertexGraph
 from autqm.norms import (
     _autocommutator_base,
     _commutator_pool,
@@ -19,11 +23,14 @@ from autqm.norms import (
     cl_upper,
     sacl_estimate,
 )
+from autqm.quasimorphisms import brooks, brooks_defect_exact, defect_enumerate, zero
 from autqm.words import CutoffExceeded, Word, power
 
 A, B, AB = Word(2, (1,)), Word(2, (2,)), Word(2, (1, 2))
 A40 = power(A, 40)
+AAB = Word(2, (1, 1, 2))
 EMPTY = Word(2, ())
+DIHEDRAL = GraphProductDomain(VertexGraph.build([2, 2], []))  # its ball of radius 8 has 17 elements
 
 # (cap, size, call).  At rank 2, composite_count(2, 1) is 7 + 7 = 14 and
 # count_reduced(2, 1) is 5.  The base pool of depth 1 and short words of
@@ -54,6 +61,11 @@ SEARCHES = {
     "sacl_last_power": ("MAX_SEARCH_SIZE", 1 + 1600, lambda: sacl_estimate(A40, 1, 1, 1)),
     # The empty word has no pairs of its own, but each power is a search.
     "sacl_searches": ("MAX_SEARCH_SIZE", 100, lambda: sacl_estimate(EMPTY, 100, 1, 1)),
+    # Every pair of the 17 words of length at most 2.
+    "defect_enumerate": ("MAX_SEARCH_SIZE", 17**2, lambda: defect_enumerate(brooks(AB), 2)),
+    "defect_enumerate_gp": ("MAX_SEARCH_SIZE", 17**2, lambda: defect_enumerate(zero(DIHEDRAL), 8)),
+    # The (u, v) table over the 17 words of length at most len("aab") - 1.
+    "brooks_defect_exact": ("MAX_SEARCH_SIZE", 17**2, lambda: brooks_defect_exact(AAB)),
 }
 
 
@@ -118,3 +130,62 @@ def test_the_check_comes_before_the_first_step(monkeypatch, step, size, call):
     with mock.patch(f"autqm.norms.{step}", side_effect=AssertionError):
         with pytest.raises(CutoffExceeded):
             call()
+
+
+def test_an_endless_domain_is_cut_off_after_the_cap_root(monkeypatch):
+    # The ball of radius 10^6 is never listed: the enumeration stops one
+    # element past the square root of the cap.
+    path = GraphProductDomain(VertexGraph.build([0, 0, 0], [(0, 1), (1, 2)]))
+    listed = []
+    ball = GraphProductDomain.elements
+
+    def listing(domain, radius):
+        for x in ball(domain, radius):
+            listed.append(x)
+            yield x
+
+    monkeypatch.setattr(GraphProductDomain, "elements", listing)
+    with pytest.raises(CutoffExceeded):
+        defect_enumerate(zero(path), 10**6)
+    assert len(listed) == 548  # isqrt(3 * 10**5) + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qm", "defect", "--pattern", "ab", "--max-len", "6"],
+        ["qm", "defect", "--pattern", "abcab", "--exact"],
+        ["qm", "defect", "--pattern", "ab", "--homog", "--max-len", "40"],
+    ],
+)
+def test_oversized_defects_exit_3_at_once(capsys, argv):
+    # Each ran past 30 s before its size was checked.
+    started = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - started < 1
+    assert '"cutoff": true' in capsys.readouterr().err
+
+
+class Reached(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qm", "defect", "--pattern", "ab", "--max-len", "5"],
+        ["qm", "defect", "--pattern", "aabab", "--exact"],
+        ["qm", "defect", "--pattern", "abbab", "--exact"],
+    ],
+)
+def test_defects_within_the_bound_pass_their_check(monkeypatch, argv):
+    # The largest sizes under the cap; stopped right after the check.
+    check = words.check_size
+
+    def check_then_stop(size):
+        check(size)
+        raise Reached
+
+    monkeypatch.setattr(words, "check_size", check_then_stop)
+    with pytest.raises(Reached):
+        main(argv)

@@ -44,6 +44,7 @@ from autqm.words import (
     power,
     random_reduced_word,
     reduce,
+    word_key,
 )
 
 
@@ -330,15 +331,18 @@ class TestPoolOracles:
     def test_autocommutator_pool_matches_oracle(self):
         replaced = 0
         for g, pool_depth, elem_len in pool_cases():
-            pool, order, added = _autocommutator_pool(g, pool_depth, elem_len)
+            own, base, order, added = _autocommutator_pool(g, pool_depth, elem_len)
+            assert base is _autocommutator_base(g.rank, pool_depth, elem_len)[3]
+            pool = {**base, **own}  # own entries are read before the base
             oracle = oracle_autocommutator_pool(g, pool_depth, elem_len)
+            oracle = {v.letters: e for v, e in oracle.items()}
             assert pool.keys() == oracle.keys()
             assert {v: provenance(e) for v, e in pool.items()} == {
                 v: provenance(e) for v, e in oracle.items()
             }
-            assert list(_merged(order, added)) == sorted(oracle, key=Word.key)
-            base = _autocommutator_base(g.rank, pool_depth, elem_len)[2]
-            replaced += sum(v in base and pool[v] != base[v] for v in pool)
+            assert set(added) == own.keys() - base.keys()
+            assert list(_merged(order, added)) == sorted(oracle, key=word_key)
+            replaced += sum(v in base and own[v] != base[v] for v in own)
         # Some root-power pairs beat a cached pair to the same value, so
         # the first-wins rule across the two parts is exercised.
         assert replaced > 0
@@ -372,9 +376,9 @@ class TestPoolOracles:
     @pytest.mark.parametrize("rank, len_cap", [(1, 3), (2, 1), (2, 3), (3, 2)])
     def test_commutator_pool_matches_oracle(self, rank, len_cap):
         pool, order = _commutator_pool(rank, len_cap)
-        oracle = oracle_commutator_pool(rank, len_cap)
+        oracle = {v.letters: e for v, e in oracle_commutator_pool(rank, len_cap).items()}
         assert pool == oracle
-        assert list(order) == sorted(oracle, key=Word.key)
+        assert list(order) == sorted(oracle, key=word_key)
 
 
 def oracle_product_search(pool, g, k_max, kind):
@@ -458,8 +462,8 @@ class TestSubpoolSearch:
             assert canonical(result) == canonical(
                 oracle_product_search(pool, g, 3, "autocommutator")
             )
-            added = set(_autocommutator_pool(g, 1, 2)[2])
-            leading_added += any(f.value in added for f in (result.witness or ())[:-1])
+            added = set(_autocommutator_pool(g, 1, 2)[3])
+            leading_added += any(f.value.letters in added for f in (result.witness or ())[:-1])
         assert [acl_upper(g, 1, 2, 3).value for g in self.ACL] == [3, 3, 3, None, 3, 3]
         # The subpool holds values added for the target, and witnesses lead
         # with them.

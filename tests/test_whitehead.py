@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -362,6 +363,64 @@ class TestPredicates:
         for word in [w([1]), w([1, 2]), w([1, 2, 2])]:
             assert is_primitive(word)
             assert in_proper_free_factor(word)
+
+
+def exponent_sums(letters):
+    return tuple(sum((l == x) - (l == -x) for l in letters) for x in (1, 2))
+
+
+def christoffel_primitive(word):
+    """Rank-2 primitivity by Christoffel words, with no Whitehead move.
+
+    Primitive elements of F(a, b) with exponent sums (p, q) exist iff p
+    and q are coprime, and then they form one conjugacy class: that of the
+    Christoffel word with |p| letters a^sign(p) and |q| letters b^sign(q),
+    whose i-th letter is b exactly when floor(i |q| / n) steps up (Osborne
+    and Zieschang, "Primitives in the free group on two generators",
+    Invent. Math. 1981).  So the cyclically reduced core must be a
+    rotation of that word.
+    """
+    core = cyclic_reduce(word)[0].letters
+    p, q = exponent_sums(core)
+    n = abs(p) + abs(q)
+    if math.gcd(p, q) != 1 or len(core) != n:
+        return False
+    a, b = (1 if p > 0 else -1), (2 if q > 0 else -2)
+    steps = (i * abs(q) // n > (i - 1) * abs(q) // n for i in range(1, n + 1))
+    christoffel = tuple(b if step else a for step in steps)
+    return any(core[r:] + core[:r] == christoffel for r in range(n))
+
+
+def nielsen_primitive(rng, low, high):
+    """A random word of length low..high in the orbit of a, conjugated."""
+    moves = elementary_automorphisms(2)
+    while True:
+        word = w([rng.choice([1, 2])])
+        while len(word) < low:
+            word = apply(rng.choice(moves), word)
+        if len(word) <= high:
+            t = random_reduced_word(rng, 2, rng.randrange(3))
+            return reduce(t.letters + word.letters + tuple(-l for l in reversed(t.letters)), 2)
+
+
+class TestChristoffelOracle:
+    """is_primitive at rank 2 against the Christoffel-word criterion."""
+
+    def test_every_word_up_to_length_7(self):
+        words = [Word(2, letters) for letters in enumerate_reduced(2, 7) if letters]
+        assert sum(christoffel_primitive(u) for u in words) > 100
+        for u in words:
+            assert is_primitive(u) == christoffel_primitive(u), u
+
+    def test_seeded_long_words(self):
+        rng = random.Random(61)
+        words = [nielsen_primitive(rng, 20, 60) for _ in range(100)]
+        words += [random_reduced_word(rng, 2, rng.randrange(20, 61)) for _ in range(100)]
+        # Coprime exponent sums alone do not make a word primitive.
+        assert sum(math.gcd(*exponent_sums(u.letters)) == 1 for u in words[100:]) > 30
+        for u in words:
+            assert is_primitive(u) == christoffel_primitive(u), u
+        assert all(map(christoffel_primitive, words[:100]))
 
 
 class TestFreeFactorRule:

@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from autqm.words import (
     CyclicWord,
+    _inverse,
+    _join,
     Word,
     breadth_first,
     components,
@@ -97,6 +99,35 @@ class TestMultiply:
         u = reduce(a, 2)
         assert multiply(u, invert(u)) == identity(2)
         assert multiply(invert(u), u) == identity(2)
+
+
+@st.composite
+def seam_pairs(draw):
+    """Reduced (u, v) where v starts by undoing a drawn suffix of u: none,
+    part or all of u cancels, and then part of v may cancel too."""
+    u = draw(reduced_words()).letters
+    cut = draw(st.integers(0, len(u)))
+    tail = draw(reduced_words()).letters
+    v = reduce(tuple(-l for l in reversed(u[len(u) - cut :])) + tail, 2).letters
+    return u, v
+
+
+class TestJoin:
+    """The junction-only join against reducing the whole concatenation."""
+
+    @given(seam_pairs())
+    def test_join_matches_reduce_of_concatenation(self, pair):
+        u, v = pair
+        oracle = reduce(u + v, 2).letters
+        assert _join(u, v) == oracle
+        assert multiply(Word(2, u), Word(2, v)).letters == oracle
+
+    @given(reduced_words(), reduced_words())
+    def test_full_and_partial_cancellation(self, x, y):
+        u, v, uv = x.letters, y.letters, reduce(x.letters + y.letters, 2).letters
+        assert _join(u, _inverse(u)) == ()
+        assert _join(uv, _inverse(v)) == u
+        assert _join(_inverse(u), uv) == v
 
 
 class TestInvert:
