@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .words import (
-    Word, _series, _trusted, breadth_first, check_size, invert as invert_word,
-    is_conjugate, multiply, power, substitute,
+    Word, _series, _trusted, breadth_first, check_size, cyclic_reduce,
+    invert as invert_word, multiply, substitute,
 )
 
 
@@ -325,26 +325,22 @@ def composite_pool(rank: int, depth: int) -> list[Automorphism]:
 def achirality_search(
     g: Word, k_max: int, depth: int
 ) -> Optional[tuple[Automorphism, int]]:
-    """Look for phi and k <= k_max with phi(g^k) conjugate to g^-k.
+    """Look for phi with phi(g) conjugate to g^-1, returned as (phi, 1).
 
-    Searches composites of elementary automorphisms breadth-first up to
-    the given depth and returns the first witness in canonical order
-    (least depth, then elementary order, then least k).  Returning None
-    proves nothing: this is a semi-decision for achirality only.  Checks
-    composite_count * k_max tests and the k_max (k_max + 1) |g| power letters.
+    Roots are unique in a free group (Lyndon-Schupp, Ch. I §2), so
+    phi(g^k) ~ g^-k for some k iff phi(g) ~ g^-1: k_max, still validated,
+    does not change the answer.  Returns the first witness among
+    composite_pool(g.rank, depth), in its order.  None proves nothing:
+    this is a semi-decision for achirality only.
     """
     if not g:
         raise ValueError("achirality is about nontrivial elements")
     if k_max < 1 or depth < 0:
         raise ValueError(f"need k_max >= 1 and depth >= 0, got {k_max} and {depth}")
-    check_size(k_max * (k_max + 1) * len(g), letters=True)
-    check_size(composite_count(g.rank, depth) * k_max)
-    powers = {k: (power(g, k), power(g, -k)) for k in range(1, k_max + 1)}
+    target = cyclic_reduce(invert_word(g))[0]
     for phi in composite_pool(g.rank, depth):
-        for k in range(1, k_max + 1):
-            pos, neg = powers[k]
-            if is_conjugate(apply(phi, pos), neg):
-                return phi, k
+        if cyclic_reduce(apply(phi, g))[0] == target:
+            return phi, 1
     return None
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .automorphisms import Automorphism, compose_all, elementary, inverse
 from .words import (
-    Word, components, cyclic_reduce, letter_key, signed_letters, substitute
+    Word, check_size, components, cyclic_reduce, letter_key, signed_letters, substitute
 )
 
 
@@ -35,8 +35,9 @@ def _type_two_moves(rank: int) -> tuple[tuple[int, frozenset[int]], ...]:
     The multiplier a is a signed letter; the cut set Y contains a but not
     a^-1.  The order (by multiplier, then cut set) fixes the descent's
     tie-break.  Y = {a} is the identity, once per multiplier; it never
-    shortens a word, so the descent never picks it.
+    shortens a word, so the descent never picks it.  Their count is checked.
     """
+    check_size(2 * rank * 4 ** min(rank - 1, 10))  # 2 * 11 * 4^10 is past every cap
     letters = signed_letters(rank)
     moves = []
     for a in letters:

@@ -86,6 +86,8 @@ CASES = GROUP_HELP + [
     ["auto", "achiral", "--word", "aab", "--kmax", "2", "--depth", "1"],
     ["auto", "achiral", "--word", "ab", "--kmax", "-1"],
     ["auto", "achiral", "--word", "ab", "--depth", "12"],
+    ["auto", "achiral", "--word", "ab", "--kmax", "2000"],
+    ["auto", "achiral", "--word", "abAB", "--depth", "0", "--kmax", "20000"],
     ["wh", "min", "--word", "abb"],
     ["wh", "min", "--word", "abAB"],
     ["wh", "min"],
@@ -93,6 +95,9 @@ CASES = GROUP_HELP + [
     ["wh", "primitive", "--word", "abAB"],
     ["wh", "freefactor", "--word", "aabb", "--rank", "3"],
     ["wh", "freefactor", "--word", "abAB"],
+    ["wh", "min", "--word", "ab", "--rank", "9"],
+    ["wh", "primitive", "--word", "ab", "--rank", "26"],
+    ["wh", "freefactor", "--word", "ab", "--rank", "9"],
     ["wh", "graph", "--word", "abAB"],
     ["wh", "graph", "--word", "abcAC", "--rank", "3"],
     ["qm", "brooks", "--pattern", "ab", "--on", "abab"],

@@ -1,14 +1,17 @@
-"""Replay a CLI norm record from its JSON and its argv alone.
+"""Replay a CLI norm or achirality record from its JSON and its argv alone.
 
-Every claim of a `norm acl`, `sacl`, `cl` or `bfs` record is re-derived
-here with letter-tuple arithmetic that imports nothing from autqm: a-z
-are the letters 1..26 and A-Z their inverses.  `replay(argv, record)`
-raises Mismatch on the first claim that does not hold:
+Every claim of a `norm acl`, `sacl`, `cl`, `bfs` or `auto achiral` record
+is re-derived here with letter-tuple arithmetic that imports nothing from
+autqm: a-z are the letters 1..26 and A-Z their inverses.
+`replay(argv, record)` raises Mismatch on the first claim that does not
+hold:
 
 - each witness tree builds the printed images, and the images and the
   inverse images are mutually inverse;
 - each factor is phi(h) h^-1, [u, v] or (bfs) one of the generators;
-- the factors multiply back to the target, and there are value of them.
+- the factors multiply back to the target, and there are value of them;
+- an achirality witness phi has k = 1, and phi(g), cyclically reduced,
+  is a rotation of g^-1.
 """
 
 from __future__ import annotations
@@ -46,6 +49,18 @@ def inverse(w) -> tuple[int, ...]:
 
 def product(*words) -> tuple[int, ...]:
     return reduce(itertools.chain(*words))
+
+
+def cyclic(w) -> tuple[int, ...]:
+    """The cyclic reduction of a reduced word."""
+    i, j = 0, len(w)
+    while j - i > 1 and w[i] == -w[j - 1]:
+        i, j = i + 1, j - 1
+    return w[i:j]
+
+
+def is_rotation(u, v) -> bool:
+    return len(u) == len(v) and any(u[i:] + u[:i] == v for i in range(len(u)))
 
 
 def substitute(images, w) -> tuple[int, ...]:
@@ -119,13 +134,28 @@ def norm(record: dict, target: tuple[int, ...], rank: int, gens=None) -> None:
     expect(product(*words) == target, "the factors multiply to the target")
 
 
+def achiral(record: dict, g: tuple[int, ...], rank: int) -> None:
+    """An achirality result: phi(g) is conjugate to g^-1."""
+    if not record["found"]:
+        expect(record.keys() == {"op", "found"}, "only a found witness has images")
+        return
+    expect(record["k"] == 1, "k is 1")
+    image = substitute(automorphism(record, rank), g)
+    expect(is_rotation(cyclic(image), cyclic(inverse(g))), "phi(g) is conjugate to g^-1")
+
+
 def replay(argv: list[str], record: dict) -> None:
-    """Check a `norm acl|sacl|cl|bfs` record against the argv that printed it."""
+    """Check a `norm acl|sacl|cl|bfs` or `auto achiral` record against the
+    argv that printed it."""
     options = dict(zip(argv[2::2], argv[3::2]))
-    target = reduce(parse(options["--word"]))
-    rank = int(options.get("--rank", max([abs(l) for l in target] + [2])))
+    letters = parse(options["--word"])
+    target = reduce(letters)
+    rank = int(options.get("--rank", max([abs(l) for l in letters] + [2])))
     command = argv[1]
-    expect(record["op"] == f"norm.{command}", "the record answers the argv")
+    expect(record["op"] == f"{argv[0]}.{command}", "the record answers the argv")
+    if command == "achiral":
+        achiral(record, target, rank)
+        return
     if command == "sacl":
         for n, step in enumerate(record["trace"], start=1):
             expect(step["n"] == n, "the trace runs over n = 1, 2, ...")

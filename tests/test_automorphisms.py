@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from autqm.automorphisms import (
     Automorphism,
@@ -249,6 +250,43 @@ class TestAchiralitySearch:
         g = w([1, 2, -1, -2])
         phi, k = achirality_search(g, k_max=2, depth=1)
         assert is_conjugate(apply(phi, power(g, k)), power(g, -k))
+
+
+def power_loop_achirality(g, k_max, depth):
+    """The search achirality_search ran before it tested k = 1 only: every
+    composite against g^k and g^-k for each k <= k_max."""
+    powers = {k: (power(g, k), power(g, -k)) for k in range(1, k_max + 1)}
+    for phi in composite_pool(g.rank, depth):
+        for k in range(1, k_max + 1):
+            pos, neg = powers[k]
+            if is_conjugate(apply(phi, pos), neg):
+                return phi, k
+    return None
+
+
+@st.composite
+def achirality_args(draw):
+    rank = draw(st.sampled_from([2, 3]))
+    letters = st.sampled_from([l for i in range(1, rank + 1) for l in (i, -i)])
+    g = w(draw(st.lists(letters, min_size=1, max_size=8)), rank)
+    depth = draw(st.integers(0, 2 if rank == 2 else 1))
+    return g, draw(st.integers(1, 4)), depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(achirality_args())
+def test_achirality_agrees_with_the_power_loop(args):
+    # Roots are unique in a free group, so the first composite that passes
+    # any k passes k = 1, which the power loop tries first.
+    g, k_max, depth = args
+    assume(g)
+    expected, found = power_loop_achirality(g, k_max, depth), achirality_search(g, k_max, depth)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        (phi, k), (oracle, oracle_k) = found, expected
+        assert k == oracle_k == 1
+        assert phi.images == oracle.images
+        assert phi.witness.to_obj() == oracle.witness.to_obj()
 
 
 def frontier_composite_pool(rank, depth):

@@ -689,7 +689,7 @@ NEXT_STEP = {
     "acl": "autqm.norms._autocommutator_base",
     "sacl": "autqm.norms._autocommutator_base",
     "cl": "autqm.norms.enumerate_reduced_words",
-    "achiral": "autqm.automorphisms.power",
+    "achiral": "autqm.automorphisms.breadth_first",
 }
 
 
@@ -710,8 +710,10 @@ class Reached(Exception):
         ["norm", "sacl", "--word", "ab", "--pool-depth", "9"],
         ["auto", "achiral", "--word", "ab", "--depth", "12"],
         ["auto", "achiral", "--word", "ab", "--depth", "7"],
-        ["auto", "achiral", "--word", "ab", "--depth", "6", "--kmax", "3"],
         ["auto", "achiral", "--word", "ab", "--rank", "26"],
+        ["wh", "min", "--word", "ab", "--rank", "9"],
+        ["wh", "primitive", "--word", "ab", "--rank", "26"],
+        ["wh", "freefactor", "--word", "ab", "--rank", "9"],
         ["norm", "sacl", "--word", "", "--nmax", "100000000"],
         ["norm", "cl", "--word", "", "--len-cap", "8"],
     ],
@@ -740,8 +742,8 @@ def test_oversized_search_is_a_cutoff_before_building(capsys, argv):
         ["norm", "sacl", "--word", "abcd"],
         ["auto", "achiral", "--word", "ab"],
         ["auto", "achiral", "--word", "ab", "--depth", "6"],
+        ["auto", "achiral", "--word", "ab", "--depth", "6", "--kmax", "3"],
         ["auto", "achiral", "--word", "abcd", "--depth", "2"],
-        ["auto", "achiral", "--word", "ab", "--kmax", "2000"],
         ["norm", "sacl", "--word", "ab", "--nmax", "60"],
         ["norm", "bfs", "--word", "abAB", "--gens", "a,b", "--group", "signed", "--cutoff", "6"],
         ["norm", "bfs", "--word", "ab", "--gens", "a,b,ab", "--cutoff", "22"],
@@ -764,22 +766,38 @@ def test_searches_within_the_bound_run(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["auto", "achiral", "--word", "ab", "--depth", "0", "--kmax", "20000"],
         ["norm", "sacl", "--nmax", "3000", "--word", "ab"],
         ["norm", "bfs", "--word", "abABabAB", "--gens", "a,b,ab", "--cutoff", "40"],
         ["norm", "bfs", "--word", "b", "--gens", "a", "--cutoff", "12000"],
         ["norm", "bavard", "--word", "ab", "--pattern", "ab", "--rank", "7"],
         ["norm", "bound", "--word", "ab", "--gens", "a", "--pattern", "ab", "--rank", "26"],
     ],
-    ids=["achiral-kmax", "sacl-nmax", "bfs-cutoff", "bfs-letters", "signed-rank-7", "signed-huge-rank"],
+    ids=["sacl-nmax", "bfs-cutoff", "bfs-letters", "signed-rank-7", "signed-huge-rank"],
 )
 def test_powers_and_balls_are_cut_off_at_once(capsys, argv):
-    # Unbounded before: the achiral powers and the balls ran out of memory
-    # and sacl ran for minutes.  Nothing is mocked.
+    # Unbounded before: the balls ran out of memory and sacl ran for
+    # minutes.  Nothing is mocked.
     started = time.perf_counter()
     assert main(argv) == 3
     assert time.perf_counter() - started < 1
     assert one_error_record(capsys)["cutoff"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["auto", "achiral", "--word", "ab", "--kmax", "2000"],
+        ["auto", "achiral", "--word", "ab", "--depth", "0", "--kmax", "20000"],
+    ],
+    ids=["kmax-2000", "achiral-kmax"],
+)
+def test_achirality_answers_at_any_kmax(capsys, argv):
+    # It tests k = 1 only.  The first ran past 300 s and the second ran out
+    # of memory while the search built every power up to --kmax.
+    started = time.perf_counter()
+    record = run_one(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert record["found"] is False
 
 
 @pytest.mark.parametrize(
@@ -916,7 +934,8 @@ def _option_value(data, path, dest, rank, files):
     if dest == "auto":
         return ";".join(draw(st.lists(st.sampled_from(CHAIN_TOKENS), min_size=1, max_size=2)))
     if dest == "rank":
-        return str(draw(st.one_of(*[st.just(rank)] * 6, st.integers(-1, 0), HUGE)))
+        # 9 and 26 are valid ranks past the caps of the rank-sized tables.
+        return str(draw(st.one_of(*[st.just(rank)] * 6, st.sampled_from([9, 26]), st.integers(-1, 0), HUGE)))
     if dest == "kmax":
         # A product search's work grows as a power of --kmax: it stays small.
         huge_ok = path == "auto achiral"

@@ -2,7 +2,8 @@
 
 With the cap set to a search's size, the search runs; one below it, the
 search raises CutoffExceeded before building anything.  The counts do not
-depend on the cached pools, so a cold and a warm call end the same way.
+depend on the cached pools, so a cold and a warm call end the same way;
+the Whitehead move table is checked once per rank, when it is built.
 """
 
 from unittest import mock
@@ -24,6 +25,7 @@ from autqm.norms import (
     sacl_estimate,
 )
 from autqm.quasimorphisms import brooks, brooks_defect_exact, defect_enumerate, zero
+from autqm.whitehead import _type_two_images, _type_two_moves, is_primitive
 from autqm.words import CutoffExceeded, Word, power
 
 A, B, AB = Word(2, (1,)), Word(2, (2,)), Word(2, (1, 2))
@@ -40,9 +42,10 @@ DIHEDRAL = GraphProductDomain(VertexGraph.build([2, 2], []))  # its ball of radi
 SEARCHES = {
     "power": ("MAX_POWER_LETTERS", 6, lambda: power(AB, -3)),
     "composite_pool": ("MAX_SEARCH_SIZE", 14, lambda: composite_pool(2, 1)),
-    "achirality_tests": ("MAX_SEARCH_SIZE", 14 * 2, lambda: achirality_search(AB, 2, 1)),
-    # g^k and g^-k for k <= 2: 2 * (2 + 4) letters.
-    "achirality_powers": ("MAX_POWER_LETTERS", 12, lambda: achirality_search(AB, 2, 1)),
+    # One conjugacy test per composite, whatever k_max is.
+    "achirality_tests": ("MAX_SEARCH_SIZE", 14, lambda: achirality_search(AB, 2, 1)),
+    # The 2n 4^(n-1) Whitehead moves of the second kind at rank 2.
+    "type_two_moves": ("MAX_SEARCH_SIZE", 2 * 2 * 4, lambda: is_primitive(AB)),
     "autocommutator_base": ("MAX_SEARCH_SIZE", 72, lambda: acl_upper(AB, 1, 1)),
     # a^40: 80 root powers with 18 automorphisms, 80 transvections with 2 words.
     "autocommutator_pool": ("MAX_SEARCH_SIZE", 80 * 18 + 80 * 2, lambda: acl_upper(A40, 1, 1)),
@@ -76,17 +79,20 @@ def outcome(call):
         return CutoffExceeded
 
 
+CACHES = (_autocommutator_base, _commutator_pool, _type_two_moves, _type_two_images)
+
+
 def cold(call):
-    _autocommutator_base.cache_clear()
-    _commutator_pool.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
     return outcome(call)
 
 
 @pytest.fixture(autouse=True)
 def clear_pools():
     yield
-    _autocommutator_base.cache_clear()
-    _commutator_pool.cache_clear()
+    for cache in CACHES:
+        cache.cache_clear()
 
 
 @pytest.mark.parametrize("name", sorted(SEARCHES))
@@ -189,3 +195,11 @@ def test_defects_within_the_bound_pass_their_check(monkeypatch, argv):
     monkeypatch.setattr(words, "check_size", check_then_stop)
     with pytest.raises(Reached):
         main(argv)
+
+
+def test_a_huge_rank_is_a_cutoff_before_its_move_count_is_built():
+    # 4^(n-1) for n = 10^9 would be a 250 MB integer.
+    started = time.perf_counter()
+    with pytest.raises(CutoffExceeded):
+        is_primitive(Word(10**9, (1,)))
+    assert time.perf_counter() - started < 1

@@ -1,4 +1,5 @@
-"""Norm records replay from their JSON alone, through tests/replay.py."""
+"""Norm and achirality records replay from their JSON alone, through
+tests/replay.py."""
 
 import contextlib
 import copy
@@ -64,9 +65,31 @@ def test_every_in_bound_norm_record_replays(argv):
         replay.replay(argv, record)
 
 
+@st.composite
+def achiral_argv(draw):
+    """In-bound argv of auto achiral at ranks 2 and 3, some without --rank."""
+    rank = draw(st.sampled_from([2, 3]))
+    argv = ["auto", "achiral", "--word", draw(words(rank, 8, 1))]
+    argv += ["--kmax", str(draw(st.integers(1, 4)))]
+    argv += ["--depth", str(draw(st.integers(0, 2 if rank == 2 else 1)))]
+    return argv + draw(st.sampled_from([[], ["--rank", str(rank)]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(achiral_argv())
+def test_every_in_bound_achiral_record_replays(argv):
+    code, records = run(argv)
+    assert code in (0, 2), argv  # 2: the word reduced to the identity
+    for record in records:
+        replay.replay(argv, record)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
+        ["auto", "achiral", "--word", "abAB"],
+        ["auto", "achiral", "--word", "aabAB", "--depth", "2"],
+        ["auto", "achiral", "--word", "acC"],
         ["norm", "acl", "--word", "BBCC"],
         ["norm", "acl", "--word", "abABab"],
         ["norm", "sacl", "--word", "abAB", "--nmax", "3"],
@@ -107,4 +130,26 @@ def test_a_wrong_inverse_table_fails():
     auto = record["witness"][0]["auto"]
     auto["inverse_images"][0] = auto["inverse_images"][0][1:]
     with pytest.raises(replay.Mismatch, match="undo"):
+        replay.replay(argv, record)
+
+
+def test_an_achirality_image_with_one_letter_flipped_fails():
+    argv = ["auto", "achiral", "--word", "abAB"]
+    record = record_of(*argv)
+    assert record["found"] and record["images"][0] == "b"
+    record["images"][0] = "B"
+    with pytest.raises(replay.Mismatch, match="the witness tree builds the printed images"):
+        replay.replay(argv, record)
+
+
+def test_an_automorphism_that_is_no_achirality_witness_fails():
+    # The identity replays as an automorphism, but abAB is no conjugate of baBA.
+    argv = ["auto", "achiral", "--word", "abAB"]
+    record = record_of(*argv)
+    record.update(images=["a", "b"], inverse_images=["a", "b"])
+    record["witness"] = {"kind": "permutation", "params": [1, 2]}
+    with pytest.raises(replay.Mismatch, match="conjugate to g"):
+        replay.replay(argv, record)
+    record.update(k=2)
+    with pytest.raises(replay.Mismatch, match="k is 1"):
         replay.replay(argv, record)
